@@ -1,5 +1,5 @@
 //! Benches for the serving daemon's hot path: in-process request
-//! handling (text, CSV, gzip), streamed-body chunk production, and full
+//! handling (text, CSV, gzip), streamed-body chunk replay, and full
 //! HTTP round trips over a real TCP connection. CI records this suite
 //! into a fresh sentinel history (`repro sentinel record --from`), so a
 //! serving-throughput regression trips the same audit as an engine

@@ -164,7 +164,7 @@ mod tests {
             (manifest.tool.as_str(), manifest.scale.as_str()),
             ("bench", "bench")
         );
-        let record = sentinel::RunRecord::from_manifest(&manifest, "repro-all", "all")
+        let record = sentinel::RunRecord::from_manifest(&manifest, "bench", "all")
             .expect("a current manifest");
         assert_eq!(record.metrics["wall_secs.suite/fast"], 250.0 * 1e-9);
         assert_eq!(record.metrics["wall_secs.suite/slow"], 4e6 * 1e-9);

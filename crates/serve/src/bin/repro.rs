@@ -248,7 +248,14 @@ fn run_sentinel(cmd: &str, args: &Parsed) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            let record = match sentinel::RunRecord::from_manifest(&manifest, "repro-all", "all") {
+            // A bench suite's manifest is filed as a bench run; audits
+            // never compare it with `repro all` runs.
+            let kind = if manifest.tool == "bench" {
+                "bench"
+            } else {
+                "repro-all"
+            };
+            let record = match sentinel::RunRecord::from_manifest(&manifest, kind, "all") {
                 Ok(rec) => rec,
                 Err(err) => return fail(&err),
             };

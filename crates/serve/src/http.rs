@@ -322,13 +322,14 @@ impl Response {
     /// frame would terminate the body early), ending with the `0` frame.
     /// `self.body` must be empty: the chunks ARE the body.
     ///
-    /// Memory stays O(largest chunk): each chunk is written and dropped
-    /// before the next is pulled from the iterator.
-    pub fn write_chunked_to(
+    /// Each chunk is written as it is pulled from the iterator and may
+    /// be borrowed or shared (`AsRef<[u8]>`), so serving a kept body
+    /// copies none of it.
+    pub fn write_chunked_to<C: AsRef<[u8]>>(
         &self,
         writer: &mut impl Write,
         keep_alive: bool,
-        chunks: impl Iterator<Item = Vec<u8>>,
+        chunks: impl Iterator<Item = C>,
     ) -> std::io::Result<()> {
         debug_assert!(
             self.body.is_empty(),
@@ -350,11 +351,12 @@ impl Response {
             if keep_alive { "keep-alive" } else { "close" }
         )?;
         for chunk in chunks {
+            let chunk = chunk.as_ref();
             if chunk.is_empty() {
                 continue;
             }
             write!(writer, "{:x}\r\n", chunk.len())?;
-            writer.write_all(&chunk)?;
+            writer.write_all(chunk)?;
             writer.write_all(b"\r\n")?;
         }
         writer.write_all(b"0\r\n\r\n")?;

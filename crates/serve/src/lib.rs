@@ -24,9 +24,14 @@
 //!   (`--workers`, default cores) drains a bounded accept queue; when
 //!   the queue is full the daemon sheds load with a fast `503
 //!   Retry-After` ([`server::ServerConfig`]).
-//! - **Streamed bodies.** HTTP/1.1 artifact responses use chunked
-//!   framing, one artifact per chunk, so paper-scale bodies are served
-//!   in O(chunk) memory — byte-identical to the whole-body
+//! - **Bodies rendered once.** Each artifact body is rendered once per
+//!   representation (format, `artifact=` selector, encoding) and kept
+//!   in a memo bounded by [`service::BODY_MEMO_BUDGET`]; a hot request
+//!   replays the finished chunks. A body is a pure function of the
+//!   cache fingerprint and the representation, so a kept one is never
+//!   stale.
+//!   HTTP/1.1 responses use chunked framing, one artifact per chunk and
+//!   each write O(chunk), byte-identical to the whole-body
 //!   (`Content-Length`) framing HTTP/1.0 clients get.
 //! - **Content-negotiated gzip.** `Accept-Encoding: gzip` switches the
 //!   payload to a hand-rolled, dependency-free gzip encoding
@@ -51,6 +56,7 @@
 mod flight;
 pub mod gzip;
 pub mod http;
+mod memo;
 pub mod server;
 pub mod service;
 

@@ -272,7 +272,7 @@ fn handle_connection(stream: TcpStream, service: &ArtifactService, read_timeout:
 /// formatted output issues one `write` per piece, and under `TCP_NODELAY`
 /// each unbuffered piece would leave as its own segment. A body or chunk
 /// larger than the buffer is written through, never accumulated, so
-/// memory stays O(chunk).
+/// each write stays O(chunk) and the buffer never grows.
 fn serve_connection(reader: &mut impl BufRead, writer: impl Write, service: &ArtifactService) {
     let mut writer = BufWriter::with_capacity(RESPONSE_BUFFER, writer);
     loop {
@@ -425,6 +425,72 @@ mod tests {
         assert_eq!(writes.0.len(), 5, "the 400 in one write");
         assert!(writes.0[4].starts_with(b"HTTP/1.1 400 Bad Request\r\n"));
         assert!(writes.0[4].ends_with(b"malformed request: missing path\n"));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn memo_hits_are_byte_identical_on_the_wire() {
+        let dir = temp_dir("memo-wire");
+        let options = || ServeOptions {
+            jobs: Some(2),
+            ..ServeOptions::new(&dir)
+        };
+        let wire = |service: &ArtifactService, raw: &str| {
+            let mut out = Vec::new();
+            serve_connection(&mut raw.as_bytes(), &mut out, service);
+            out
+        };
+        let base = "/v1/artifacts/F2?seed=1&scale=quick";
+        let manifest = wire(
+            &ArtifactService::new(options()),
+            "GET /v1/manifest/F2?seed=1&scale=quick HTTP/1.0\r\n\r\n",
+        );
+        let manifest = String::from_utf8(manifest).expect("a JSON manifest");
+        let aid = manifest
+            .split("\"artifacts\":[{\"id\":\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .expect("F2 has an artifact");
+        let representations = [
+            (base.to_string(), ""),
+            (format!("{base}&artifact={aid}"), ""),
+            (format!("{base}&format=csv&artifact={aid}"), ""),
+            (base.to_string(), "Accept-Encoding: gzip\r\n"),
+        ];
+        for version in ["1.1", "1.0"] {
+            // A fresh memo per protocol, over the warm disk cache.
+            let service = ArtifactService::new(options());
+            for (n, (target, headers)) in representations.iter().enumerate() {
+                let raw = format!("GET {target} HTTP/{version}\r\n{headers}\r\n");
+                let rendered = wire(&service, &raw);
+                assert!(rendered.starts_with(b"HTTP/1.1 200 OK\r\n"), "{raw}");
+                assert_eq!(service.memo_resident().0, n + 1, "{raw} is kept");
+                let replayed = wire(&service, &raw);
+                assert_eq!(rendered, replayed, "{raw}: the memo changed the wire");
+                assert_eq!(service.memo_resident().0, n + 1, "{raw} kept once");
+            }
+            let kept = service.memo_resident();
+            for (raw, status) in [
+                (
+                    format!("GET {base}&artifact=nope HTTP/{version}\r\n\r\n"),
+                    "404",
+                ),
+                (
+                    format!("GET {base}&format=yaml HTTP/{version}\r\n\r\n"),
+                    "400",
+                ),
+                (
+                    format!("GET {base}&format=csv HTTP/{version}\r\n\r\n"),
+                    "400",
+                ),
+            ] {
+                for _ in 0..2 {
+                    let response = wire(&service, &raw);
+                    assert_eq!(&response[9..12], status.as_bytes(), "{raw}");
+                }
+            }
+            assert_eq!(service.memo_resident(), kept, "errors are never kept");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

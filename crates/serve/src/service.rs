@@ -4,22 +4,26 @@
 //! The serving contract (DESIGN.md §10) is byte-identity: for a given
 //! `(experiment, scale, seed)` the response body is identical across
 //! requests, restarts, worker counts, and chaos seeds — the same
-//! contract `repro all` honors, extended over HTTP. Hot requests are
-//! served straight from the [`ArtifactCache`]; cold ones go through one
-//! two-level flight keyed by the cache fingerprint (the `flight`
+//! contract `repro all` honors, extended over HTTP. Cold keys go through
+//! one two-level flight keyed by the cache fingerprint (the `flight`
 //! module): they compute through the engine exactly once no matter how
 //! many clients of this process ask concurrently, and at most once
 //! across the daemons sharing the cache directory unless a sibling
 //! dies mid-flight, then store back through the engine's own retried
 //! store-back ([`ArtifactCache::store_retrying`]).
 //!
-//! Handlers produce a [`Reply`]: either a whole [`Response`] or a
-//! [`Streamed`] head plus a [`BodyStream`] that renders one artifact per
-//! chunk, so paper-scale bodies are served in O(chunk) memory. Content
-//! negotiation (`Accept-Encoding: gzip`) rides the same path: the
-//! stream pushes each chunk through [`gzip::StreamEncoder`], whole
-//! bodies go through [`gzip::encode`], and the ETag is a per-variant
-//! validator so a `304` never short-circuits the wrong representation.
+//! Each artifact body is rendered once per representation (text or
+//! CSV, the `artifact=` selector, identity or gzip) and kept in a
+//! byte-bounded memo ([`BODY_MEMO_BUDGET`]), the cache's in-memory tier:
+//! a hot request replays the finished chunks, with no disk read, decode,
+//! render or gzip. A body is a pure function of the cache fingerprint
+//! and the representation, so a kept body cannot go stale. Handlers
+//! produce a [`Reply`]: either a whole [`Response`] or a [`Streamed`]
+//! head plus a [`BodyStream`] that replays the body one artifact per
+//! chunk (the gzip trailer is its own last chunk). The ETag is a
+//! per-variant validator so a `304` never short-circuits the wrong
+//! representation; whole non-artifact bodies are gzip-encoded through
+//! [`gzip::encode`].
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -37,12 +41,23 @@ use testbed::{FaultPlan, FaultPolicy, FaultTally};
 use crate::flight::{Flights, Shared};
 use crate::gzip;
 use crate::http::{Request, Response};
+use crate::memo::{Body, BodyMemo, Representation};
 
 /// Contexts kept warm, keyed by `(scale, seed)`. A context holds the
 /// provisioned cluster and regenerates its shards on demand, so a warm
 /// one costs a fleet description, not a campaign; the pool saves the
 /// provisioning and bounds the shard buffers kept for reuse.
 const CONTEXT_POOL_CAP: usize = 8;
+
+/// Body bytes the memo of finished artifact responses keeps. Every
+/// representation of all 24 experiments at one seed (whole and
+/// per-artifact text, per-artifact CSV, each identity and gzip) takes
+/// 0.25 MB at quick scale and 0.29 MB at paper scale, so the budget
+/// holds about 28 such `(scale, seed)` sets; the largest body, F13's
+/// text, is 20 KB. At the budget arbitrary entries are evicted, as in
+/// the context pool; a body larger than the budget is served but not
+/// kept.
+pub const BODY_MEMO_BUDGET: usize = 8 << 20;
 
 /// Configuration for [`ArtifactService`].
 #[derive(Debug, Clone)]
@@ -86,16 +101,16 @@ type FlightResult = Result<Arc<Vec<Artifact>>, String>;
 type ContextPool = std::collections::HashMap<(String, u64), Arc<OnceLock<Arc<Context>>>>;
 
 /// What a handler hands the connection loop: a fully materialized
-/// response, or a head plus a lazy body to write with chunked framing.
+/// response, or a head plus a body to write with chunked framing.
 pub enum Reply {
     /// Serialize with `Content-Length` framing.
     Whole(Response),
-    /// Serialize the head with `Transfer-Encoding: chunked` and pull
-    /// body chunks from the stream one at a time.
+    /// Serialize the head with `Transfer-Encoding: chunked` and write
+    /// the body's chunks one frame each.
     Streamed(Streamed),
 }
 
-/// A streamed reply: status + headers, body rendered on demand.
+/// A streamed reply: status + headers, and the finished body's chunks.
 pub struct Streamed {
     /// Status and headers; `head.body` stays empty.
     pub head: Response,
@@ -112,7 +127,7 @@ impl Reply {
         }
     }
 
-    /// Collapses the reply into a whole [`Response`], draining a
+    /// Collapses the reply into a whole [`Response`], joining a
     /// streamed body into `body`. The bytes are exactly the payload a
     /// client would reassemble from the chunked frames (still
     /// gzip-encoded when the stream negotiated gzip).
@@ -121,10 +136,7 @@ impl Reply {
             Reply::Whole(resp) => resp,
             Reply::Streamed(s) => {
                 let mut resp = s.head;
-                resp.body = s.body.fold(Vec::new(), |mut acc, chunk| {
-                    acc.extend_from_slice(&chunk);
-                    acc
-                });
+                resp.body = s.body.chunks[s.body.next..].concat();
                 resp
             }
         }
@@ -137,47 +149,50 @@ impl From<Response> for Reply {
     }
 }
 
-/// Lazily rendered artifact body: yields one chunk per selected
-/// artifact (the CLI's `render()` + newline, or `to_csv`), optionally
-/// pushed through a streaming gzip encoder. Memory stays O(one
-/// artifact's rendering) regardless of how many artifacts the response
-/// spans.
+/// A finished artifact body replayed chunk by chunk: one chunk per
+/// selected artifact (the CLI's `render()` + newline, or `to_csv`),
+/// then the gzip trailer when gzip-encoded. Each chunk is shared with
+/// the memo, so a replay copies no body bytes.
 pub struct BodyStream {
-    artifacts: Arc<Vec<Artifact>>,
-    selected: Vec<usize>,
-    csv: bool,
+    chunks: Body,
     next: usize,
-    encoder: Option<gzip::StreamEncoder>,
-    finished: bool,
 }
 
 impl Iterator for BodyStream {
-    type Item = Vec<u8>;
+    type Item = Arc<[u8]>;
 
-    fn next(&mut self) -> Option<Vec<u8>> {
-        if let Some(&index) = self.selected.get(self.next) {
-            self.next += 1;
-            let artifact = &self.artifacts[index];
-            let chunk = if self.csv {
+    fn next(&mut self) -> Option<Arc<[u8]>> {
+        let chunk = self.chunks.get(self.next)?;
+        self.next += 1;
+        Some(Arc::clone(chunk))
+    }
+}
+
+/// Renders one representation of the `selected` artifacts: a chunk per
+/// artifact, each pushed through one gzip stream when `gzip`, whose
+/// trailer (final empty block, CRC-32, ISIZE) is then its own last
+/// chunk; identity bodies end with the artifacts.
+fn render_body(selected: &[&Artifact], csv: bool, gzip: bool) -> Body {
+    let mut encoder = gzip.then(gzip::StreamEncoder::new);
+    let mut chunks: Vec<Arc<[u8]>> = selected
+        .iter()
+        .map(|artifact| {
+            let chunk = if csv {
                 artifact.to_csv().into_bytes()
             } else {
                 let mut text = artifact.render();
                 text.push('\n');
                 text.into_bytes()
             };
-            return Some(match &mut self.encoder {
+            match &mut encoder {
                 Some(enc) => enc.push(&chunk),
                 None => chunk,
-            });
-        }
-        if self.finished {
-            return None;
-        }
-        self.finished = true;
-        // The gzip trailer (final empty block, CRC-32, ISIZE) is its
-        // own last chunk; identity streams end with the artifacts.
-        self.encoder.take().map(|enc| enc.finish())
-    }
+            }
+            .into()
+        })
+        .collect();
+    chunks.extend(encoder.map(|enc| enc.finish().into()));
+    chunks.into()
 }
 
 /// The stateful request handler shared by every connection.
@@ -188,6 +203,7 @@ pub struct ArtifactService {
     policy: FaultPolicy,
     flights: Flights<FlightResult>,
     contexts: Mutex<ContextPool>,
+    memo: BodyMemo,
 }
 
 impl ArtifactService {
@@ -202,14 +218,14 @@ impl ArtifactService {
             policy: options.policy,
             flights,
             contexts: Mutex::new(std::collections::HashMap::new()),
+            memo: BodyMemo::new(BODY_MEMO_BUDGET),
         }
     }
 
     /// Dispatches one request and returns the reply. Telemetry:
     /// `serve.request` (+ per-endpoint), `serve.status.<code>`, and a
     /// `serve.latency.<endpoint>` histogram recorded after the reply
-    /// is built (for streamed bodies: after routing and any cold
-    /// compute — the chunks themselves render during the write), so
+    /// is built (bodies included, before any byte is written), so
     /// `/metrics` never includes its own in-flight request.
     pub fn handle(&self, req: &Request) -> Reply {
         let started = Instant::now();
@@ -225,8 +241,8 @@ impl ArtifactService {
     }
 
     /// Applies content negotiation to a routed reply: any `200` with a
-    /// body is gzip-encoded when the client negotiated it (streamed
-    /// bodies were already encoded chunk-wise by the handler), and every
+    /// body is gzip-encoded when the client negotiated it (artifact
+    /// bodies were already rendered encoded by the handler), and every
     /// negotiable response — including `304`, whose validator is
     /// per-variant — carries `Vary: Accept-Encoding`.
     fn negotiate_encoding(&self, req: &Request, reply: &mut Reply) {
@@ -281,7 +297,9 @@ impl ArtifactService {
     /// artifact per chunk; HTTP/1.0 clients get the same bytes whole
     /// under `Content-Length`. With `Accept-Encoding: gzip` the payload
     /// is gzip-encoded (either way) and the ETag switches to the gzip
-    /// variant's validator.
+    /// variant's validator. A body kept in the memo counts as a
+    /// `cache.hit`, as a disk hit does: the memo is the cache's
+    /// in-memory tier.
     fn artifacts_endpoint(&self, id: &str, req: &Request) -> Reply {
         let (experiment, scale, seed) = match self.resolve(id, req) {
             Ok(triple) => triple,
@@ -293,55 +311,81 @@ impl ArtifactService {
         if req.header("if-none-match") == Some(etag.as_str()) {
             return Response::empty(304).with_header("ETag", etag).into();
         }
-        let artifacts = match self.artifacts_for_key(experiment, scale, seed, &key) {
-            Ok(artifacts) => artifacts,
-            Err(why) => return Response::text(500, format!("{id}: {why}\n")).into(),
+        let representation = Representation {
+            fingerprint: key.fingerprint(),
+            format: req.query_param("format").unwrap_or("text").to_string(),
+            artifact: req.query_param("artifact").map(str::to_string),
+            gzip: gzip_negotiated,
         };
-        let selected: Vec<usize> = match req.query_param("artifact") {
-            Some(aid) => match artifacts.iter().position(|a| a.id() == aid) {
-                Some(i) => vec![i],
-                None => {
-                    return Response::text(404, format!("{id} has no artifact `{aid}`\n")).into()
-                }
-            },
-            None => (0..artifacts.len()).collect(),
-        };
-        let csv = match req.query_param("format").unwrap_or("text") {
-            "text" => false,
-            "csv" => {
-                if selected.len() != 1 {
-                    return Response::text(400, "format=csv requires an artifact= selector\n")
-                        .into();
-                }
-                true
+        let chunks = match self.memo.get(&representation) {
+            Some(chunks) => {
+                telemetry::metrics::counter("cache.hit").inc();
+                chunks
             }
-            other => return Response::text(400, format!("unknown format `{other}`\n")).into(),
+            None => {
+                let chunks = match self.render(id, experiment, scale, seed, &key, &representation) {
+                    Ok(chunks) => chunks,
+                    Err(resp) => return resp.into(),
+                };
+                if experiment.cacheable() {
+                    self.memo.insert(representation, &chunks);
+                }
+                chunks
+            }
         };
         let mut head = Response::text(200, "").with_header("ETag", etag);
-        let encoder = if gzip_negotiated {
+        if gzip_negotiated {
             head.headers
                 .push(("Content-Encoding".to_string(), "gzip".to_string()));
-            Some(gzip::StreamEncoder::new())
-        } else {
-            None
-        };
-        let body = BodyStream {
-            artifacts,
-            selected,
-            csv,
-            next: 0,
-            encoder,
-            finished: false,
-        };
+        }
         if req.accepts_chunked() {
+            let body = BodyStream { chunks, next: 0 };
             Reply::Streamed(Streamed { head, body })
         } else {
-            head.body = body.fold(Vec::new(), |mut acc, chunk| {
-                acc.extend_from_slice(&chunk);
-                acc
-            });
+            head.body = chunks.concat();
             Reply::Whole(head)
         }
+    }
+
+    /// The miss path of [`Self::artifacts_endpoint`]: the artifacts from
+    /// the disk cache or the engine, then the one render of the
+    /// requested representation, or the `400`/`404`/`500` to answer.
+    fn render(
+        &self,
+        id: &str,
+        experiment: &'static dyn Experiment,
+        scale: Scale,
+        seed: u64,
+        key: &CacheKey,
+        representation: &Representation,
+    ) -> Result<Body, Response> {
+        let artifacts = self
+            .artifacts_for_key(experiment, scale, seed, key)
+            .map_err(|why| Response::text(500, format!("{id}: {why}\n")))?;
+        let selected: Vec<&Artifact> = match &representation.artifact {
+            Some(aid) => match artifacts.iter().find(|a| a.id() == aid) {
+                Some(artifact) => vec![artifact],
+                None => {
+                    return Err(Response::text(
+                        404,
+                        format!("{id} has no artifact `{aid}`\n"),
+                    ))
+                }
+            },
+            None => artifacts.iter().collect(),
+        };
+        let csv = match representation.format.as_str() {
+            "text" => false,
+            "csv" if selected.len() == 1 => true,
+            "csv" => {
+                return Err(Response::text(
+                    400,
+                    "format=csv requires an artifact= selector\n",
+                ))
+            }
+            other => return Err(Response::text(400, format!("unknown format `{other}`\n"))),
+        };
+        Ok(render_body(&selected, csv, representation.gzip))
     }
 
     /// `GET /v1/manifest/{id}?seed=&scale=`: experiment metadata plus
@@ -487,6 +531,12 @@ impl ArtifactService {
             telemetry::metrics::counter("serve.faults.retried").add(tally.retried());
         }
         Ok(Arc::new(artifacts))
+    }
+
+    /// `(entries, body bytes)` the memo keeps.
+    #[cfg(test)]
+    pub(crate) fn memo_resident(&self) -> (usize, usize) {
+        self.memo.resident()
     }
 
     /// A context from the pool, provisioning the campaign on first use.
@@ -839,6 +889,49 @@ mod tests {
             normalized,
             include_str!("../tests/fixtures/manifest_T1_seed7_quick.json")
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_memo_holds_its_budget_and_serves_larger_bodies_unkept() {
+        let (service, dir) = temp_service();
+        let requests: Vec<Request> = ["T1", "T2", "F6", "F7"]
+            .into_iter()
+            .flat_map(|id| {
+                let text = get(&format!("/v1/artifacts/{id}?seed=7"));
+                let gz = with_header(text.clone(), "accept-encoding", "gzip");
+                [text, gz]
+            })
+            .collect();
+        let reference: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|req| service.handle(req).into_response().body)
+            .collect();
+        let sizes = reference.iter().map(Vec::len);
+        let (smallest, largest) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+        // Each budget reads the same cache directory, now warm on disk.
+        let with_budget = |budget| ArtifactService {
+            memo: BodyMemo::new(budget),
+            ..ArtifactService::new(ServeOptions::new(&dir))
+        };
+
+        let budget = 2 * largest;
+        let filled = with_budget(budget);
+        for _ in 0..2 {
+            for (req, body) in requests.iter().zip(&reference) {
+                assert_eq!(&filled.handle(req).into_response().body, body);
+                let (entries, bytes) = filled.memo_resident();
+                assert!(entries >= 1 && bytes <= budget, "{bytes} > {budget}");
+            }
+        }
+
+        let too_small = with_budget(smallest - 1);
+        for _ in 0..2 {
+            for (req, body) in requests.iter().zip(&reference) {
+                assert_eq!(&too_small.handle(req).into_response().body, body);
+            }
+        }
+        assert_eq!(too_small.memo_resident(), (0, 0), "no body fits");
         let _ = std::fs::remove_dir_all(dir);
     }
 

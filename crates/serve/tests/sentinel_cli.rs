@@ -1,8 +1,9 @@
 //! Integration tests for the `repro sentinel` CLI: the dogfooded
 //! green/green/red contract (two clean `repro all` runs build a
 //! baseline, an env-degraded third run turns the audit red with a named
-//! metric and a change-point), plus `record --from`, `report`, `watch`,
-//! `clear`, and corrupt-record tolerance through the binary.
+//! metric and a change-point), plus `record --from` (filed under its
+//! manifest's tool), `report`, `watch`, `clear`, and corrupt-record
+//! tolerance through the binary.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -206,6 +207,40 @@ fn record_from_manifest_and_report() {
         "{}",
         report.stdout
     );
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn record_files_a_manifest_under_its_tools_kind() {
+    let root = temp_root("kind");
+    let sdir = root.join("history");
+    let manifests = [
+        ("bench", "bench", "serve_throughput/hot_text"),
+        ("repro", "quick", "T1"),
+    ];
+    for (tool, scale, experiment) in manifests {
+        let mut manifest = telemetry::RunManifest::new(tool, "0.1.0", 0, scale);
+        manifest.push_experiment(experiment, 1e-5, 0);
+        let file = root.join(format!("{tool}.json"));
+        std::fs::write(&file, manifest.to_json().pretty()).unwrap();
+        let rec = run(repro()
+            .args(["sentinel", "record"])
+            .args(["--from", file.to_str().unwrap()])
+            .args(["--sentinel-dir", sdir.to_str().unwrap()]));
+        assert!(rec.success, "{}", rec.stderr);
+    }
+
+    let report = run(repro()
+        .args(["sentinel", "report"])
+        .args(["--sentinel-dir", sdir.to_str().unwrap()]));
+    assert!(report.success, "{}", report.stderr);
+    for population in [
+        "population kind=bench scale=bench workload=all (1 run(s))",
+        "population kind=repro-all scale=quick workload=all (1 run(s))",
+    ] {
+        assert!(report.stdout.contains(population), "{}", report.stdout);
+    }
 
     let _ = std::fs::remove_dir_all(&root);
 }
