@@ -88,7 +88,7 @@ impl Table {
     }
 
     /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.headers.join(","));
         for row in &self.rows {
@@ -124,7 +124,7 @@ pub struct SeriesSet {
 
 impl SeriesSet {
     /// Creates an empty figure.
-    pub fn new(id: &str, title: &str, x_label: &str, y_label: &str) -> Self {
+    pub(crate) fn new(id: &str, title: &str, x_label: &str, y_label: &str) -> Self {
         Self {
             id: id.to_string(),
             title: title.to_string(),
@@ -135,7 +135,7 @@ impl SeriesSet {
     }
 
     /// Adds a series.
-    pub fn push_series(&mut self, name: &str, points: Vec<(f64, f64)>) {
+    pub(crate) fn push_series(&mut self, name: &str, points: Vec<(f64, f64)>) {
         self.series.push(Series {
             name: name.to_string(),
             points,
@@ -144,7 +144,7 @@ impl SeriesSet {
 
     /// Renders the series as aligned text columns (x then one column per
     /// series, rows joined on x where series share x values).
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "[{}] {}", self.id, self.title);
         let _ = writeln!(out, "x = {}, y = {}", self.x_label, self.y_label);
@@ -158,7 +158,7 @@ impl SeriesSet {
     }
 
     /// Renders as long-form CSV: `series,x,y`.
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "series,{},{}", self.x_label, self.y_label);
         for s in &self.series {
@@ -257,7 +257,7 @@ impl Artifact {
 
 /// Error from [`decode_artifacts`]: what made the text undecodable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
+pub(crate) struct CodecError {
     message: String,
 }
 
@@ -279,7 +279,7 @@ impl std::error::Error for CodecError {}
 
 /// First line of every [`encode_artifacts`] payload; bumped with the
 /// format.
-pub const CODEC_HEADER: &str = "artifacts-codec v1";
+const CODEC_HEADER: &str = "artifacts-codec v1";
 
 fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -327,7 +327,7 @@ fn unescape(s: &str) -> Result<String, CodecError> {
 /// identically in another. Strings are
 /// newline-escaped; every list is length-prefixed so truncation is
 /// always detectable.
-pub fn encode_artifacts(artifacts: &[Artifact]) -> String {
+pub(crate) fn encode_artifacts(artifacts: &[Artifact]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{CODEC_HEADER}");
     let _ = writeln!(out, "artifacts {}", artifacts.len());
@@ -370,7 +370,7 @@ pub fn encode_artifacts(artifacts: &[Artifact]) -> String {
 /// wrong header, bad counts, truncation, malformed escapes or float
 /// bits — is a [`CodecError`], never a panic: the cache treats it as a
 /// corrupt entry and recomputes.
-pub fn decode_artifacts(text: &str) -> Result<Vec<Artifact>, CodecError> {
+pub(crate) fn decode_artifacts(text: &str) -> Result<Vec<Artifact>, CodecError> {
     let mut lines = text.lines();
     let mut next = move || lines.next().ok_or_else(|| CodecError::new("truncated"));
     let field = |line: &str, tag: &str| -> Result<String, CodecError> {
@@ -450,12 +450,12 @@ pub fn decode_artifacts(text: &str) -> Result<Vec<Artifact>, CodecError> {
 }
 
 /// Formats a float with `digits` decimal places (table cell helper).
-pub fn fmt(value: f64, digits: usize) -> String {
+pub(crate) fn fmt(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
 /// Formats a fraction as a percentage with one decimal.
-pub fn pct(fraction: f64) -> String {
+pub(crate) fn pct(fraction: f64) -> String {
     format!("{:.1}%", fraction * 100.0)
 }
 

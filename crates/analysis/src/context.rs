@@ -69,7 +69,7 @@ impl Scale {
 
     /// How many machines per type the machine-level experiments (CONFIRM
     /// CDFs, normality census) consider.
-    pub fn machines_per_type(&self) -> usize {
+    pub(crate) fn machines_per_type(&self) -> usize {
         match self {
             Scale::Quick => 3,
             Scale::Paper => 12,
@@ -152,7 +152,7 @@ impl<'a> ShardView<'a> {
     /// exactly the vector `store.filter().benchmark(b).group_by_machine()`
     /// yields for this machine. Only the benchmark's own blocks of the
     /// shard are read ([`Shard::values`]).
-    pub fn values(&self, benchmark: BenchmarkId) -> Vec<f64> {
+    pub(crate) fn values(&self, benchmark: BenchmarkId) -> Vec<f64> {
         self.resident.shard.values(benchmark)
     }
 
@@ -161,7 +161,7 @@ impl<'a> ShardView<'a> {
     /// to ask sorts it ([`varstats::quantile::sort_finite`], bit for bit
     /// the stable `partial_cmp` order); every other fold walking the same
     /// shard, on any thread, reads that one copy.
-    pub fn sorted(&self, benchmark: BenchmarkId) -> &'a [f64] {
+    pub(crate) fn sorted(&self, benchmark: BenchmarkId) -> &'a [f64] {
         self.resident.sorted[benchmark as usize].get_or_init(|| {
             let mut column = self.values(benchmark);
             varstats::quantile::sort_finite(&mut column);
@@ -173,7 +173,7 @@ impl<'a> ShardView<'a> {
 /// Everything an experiment pipeline needs.
 ///
 /// A context also keeps the CONFIRM answers its experiments have computed
-/// ([`Context::confirm_answer`]). A clone starts with none: its fields
+/// (`Context::confirm_answer`). A clone starts with none: its fields
 /// are public, and an answer computed for the original's cluster or
 /// config must never be served to a clone whose ones were edited.
 #[derive(Debug)]
@@ -316,7 +316,7 @@ impl Context {
     /// # Errors
     ///
     /// `compute`'s error, kept and returned to every asker.
-    pub fn confirm_answer(
+    pub(crate) fn confirm_answer(
         &self,
         machine: MachineId,
         bench: BenchmarkId,
@@ -392,7 +392,10 @@ impl Context {
     /// # Errors
     ///
     /// A shard read error, or the fold's own step or finish error.
-    pub fn run_fold(&self, mut fold: Box<dyn ShardFold>) -> Result<Vec<Artifact>, ExperimentError> {
+    pub(crate) fn run_fold(
+        &self,
+        mut fold: Box<dyn ShardFold>,
+    ) -> Result<Vec<Artifact>, ExperimentError> {
         let mut stepped = Ok(());
         self.for_each_shard(|shard| {
             if stepped.is_ok() {

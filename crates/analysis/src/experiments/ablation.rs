@@ -30,7 +30,7 @@ fn run_variant(pool: &[f64], label: &str, config: &ConfirmConfig) -> AblationRow
 }
 
 /// T5: the ablation grid on one skewed disk pool.
-pub fn t5_confirm_ablation(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn t5_confirm_ablation(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let machine = ctx.cluster.machines_of_type("c220g1")[0].id;
     let pool = machine_pool(ctx, machine, BenchmarkId::DiskSeqRead, 120);
     let base = ctx.confirm.with_target_rel_error(0.02).with_rounds(100);

@@ -17,7 +17,7 @@ use crate::registry::ExperimentError;
 
 /// Result of one policy evaluation.
 #[derive(Debug, Clone)]
-pub struct PolicyOutcome {
+struct PolicyOutcome {
     /// Mean absolute relative error vs the fleet ground truth across
     /// draws.
     pub mean_abs_error: f64,
@@ -51,7 +51,7 @@ fn estimate_with(
 /// Evaluates the policies for one (type, benchmark), drawing `draws`
 /// random allocations of `k` machines. The outcomes are sequential,
 /// strided and random, in that order.
-pub fn evaluate_policies(
+fn evaluate_policies(
     ctx: &Context,
     type_name: &str,
     bench: BenchmarkId,
@@ -104,7 +104,7 @@ pub fn evaluate_policies(
 /// every type makes the hazard visible: the worst type's fixed prefix is
 /// biased by several percent, while random allocation turns the same
 /// spread into quantifiable (and averageable) sampling noise.
-pub fn f14_allocation_bias(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f14_allocation_bias(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let bench = BenchmarkId::MemTriad;
     let mut t = Table::new(
         "F14",

@@ -18,7 +18,7 @@ use crate::registry::ExperimentError;
 
 /// Spread of CONFIRM answers across seeds for one configuration.
 #[derive(Debug, Clone)]
-pub struct StabilityRow {
+struct StabilityRow {
     /// Rounds per subset size.
     pub rounds: usize,
     /// Mean answer (ordinal) across seeds.
@@ -31,7 +31,7 @@ pub struct StabilityRow {
 
 /// Re-runs CONFIRM across `seeds` different subsampling seeds at each
 /// rounds setting.
-pub fn stability_sweep(
+fn stability_sweep(
     ctx: &Context,
     bench: BenchmarkId,
     rounds_settings: &[usize],
@@ -70,7 +70,7 @@ pub fn stability_sweep(
 }
 
 /// F16: the stability table.
-pub fn f16_confirm_stability(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f16_confirm_stability(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let bench = BenchmarkId::DiskSeqRead;
     let rows = stability_sweep(ctx, bench, &[20, 50, 100, 200], 10);
     let mut t = Table::new(

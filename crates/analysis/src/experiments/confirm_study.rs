@@ -60,7 +60,7 @@ pub fn study_machines(ctx: &Context) -> Vec<testbed::MachineId> {
 
 /// CONFIRM's answer under `config` for `machine`'s scale-sized
 /// [`machine_pool`] of `bench`, from the context's requirement table.
-pub fn machine_confirm(
+fn machine_confirm(
     ctx: &Context,
     machine: testbed::MachineId,
     bench: BenchmarkId,
@@ -75,7 +75,7 @@ pub fn machine_confirm(
 
 /// Runs CONFIRM per machine for one benchmark, returning the ordinal
 /// requirements (pool+1 when exhausted).
-pub fn requirements_per_machine(
+fn requirements_per_machine(
     ctx: &Context,
     bench: BenchmarkId,
     config: &ConfirmConfig,
@@ -87,7 +87,7 @@ pub fn requirements_per_machine(
 }
 
 /// Turns a set of requirements into CDF points over repetition counts.
-pub fn requirement_cdf(requirements: &[Requirement]) -> Vec<(f64, f64)> {
+fn requirement_cdf(requirements: &[Requirement]) -> Vec<(f64, f64)> {
     let mut ordinals: Vec<usize> = requirements.iter().map(|r| r.as_ordinal()).collect();
     ordinals.sort_unstable();
     let n = ordinals.len() as f64;
@@ -99,7 +99,7 @@ pub fn requirement_cdf(requirements: &[Requirement]) -> Vec<(f64, f64)> {
 }
 
 /// F9: CDFs of required repetitions (±1% @ 95%) across machines.
-pub fn f9_confirm_cdf(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f9_confirm_cdf(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let config = ctx.confirm.with_growth(confirm::Growth::Geometric(1.25));
     let mut fig = SeriesSet::new(
         "F9",
@@ -130,7 +130,7 @@ pub fn f9_confirm_cdf(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
 }
 
 /// F10: repetitions for median vs p95 vs p99 (±5% target).
-pub fn f10_confirm_tails(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f10_confirm_tails(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     // Tail quantiles need big pools: generate one large pool per
     // machine on a heavy-tailed benchmark (network latency).
     let bench = BenchmarkId::NetLatency;
@@ -193,7 +193,7 @@ pub fn f10_confirm_tails(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError
 /// of the answers and reads the other half, rather than one waiting on
 /// the other's every answer. A row depends only on its set of machines'
 /// answers, not on their order.
-pub fn t4_repetition_summary(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn t4_repetition_summary(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let config = ctx
         .confirm
         .with_target_rel_error(0.01)

@@ -14,10 +14,10 @@ use crate::context::Context;
 use crate::registry::ExperimentError;
 
 /// Repetition counts evaluated.
-pub const SWEEP: [usize; 7] = [10, 20, 40, 80, 150, 300, 500];
+const SWEEP: [usize; 7] = [10, 20, 40, 80, 150, 300, 500];
 
 /// The benchmarks each curve represents.
-pub const REPRESENTATIVES: [BenchmarkId; 4] = [
+const REPRESENTATIVES: [BenchmarkId; 4] = [
     BenchmarkId::MemTriad,
     BenchmarkId::DiskSeqRead,
     BenchmarkId::DiskRandRead,
@@ -26,7 +26,7 @@ pub const REPRESENTATIVES: [BenchmarkId; 4] = [
 
 /// Computes the CI-halfwidth curve for `bench` on the first machine of
 /// the first HDD type (disk benches) or the biggest fleet (others).
-pub fn convergence_curve(ctx: &Context, bench: BenchmarkId) -> Vec<(f64, f64)> {
+fn convergence_curve(ctx: &Context, bench: BenchmarkId) -> Vec<(f64, f64)> {
     let machine = ctx
         .cluster
         .types()
@@ -50,7 +50,7 @@ pub fn convergence_curve(ctx: &Context, bench: BenchmarkId) -> Vec<(f64, f64)> {
 }
 
 /// F8: one series per representative benchmark.
-pub fn f8_ci_convergence(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f8_ci_convergence(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let mut fig = SeriesSet::new(
         "F8",
         "Median-CI relative half-width vs repetitions (one HDD machine)",

@@ -71,11 +71,15 @@ impl CovCells {
 struct FamilyFold {
     id: &'static str,
     title: &'static str,
+    /// The span each step opens (`f3.cov`, ...): a static name, so a
+    /// step with telemetry off costs one relaxed load.
+    span: &'static str,
     cells: CovCells,
 }
 
 impl ShardFold for FamilyFold {
     fn step(&mut self, shard: ShardView<'_>) -> Result<(), ExperimentError> {
+        let _span = telemetry::span(self.span);
         self.cells.observe(shard);
         Ok(())
     }
@@ -118,10 +122,16 @@ fn cov_rows(ctx: &Context, benches: &[BenchmarkId]) -> Result<Vec<Vec<CovRow>>, 
     Ok(cells.rows(ctx))
 }
 
-fn family(id: &'static str, title: &'static str, benches: &[BenchmarkId]) -> Box<dyn ShardFold> {
+fn family(
+    id: &'static str,
+    title: &'static str,
+    span: &'static str,
+    benches: &[BenchmarkId],
+) -> Box<dyn ShardFold> {
     Box::new(FamilyFold {
         id,
         title,
+        span,
         cells: CovCells::new(benches),
     })
 }
@@ -153,10 +163,11 @@ fn type_rows(ctx: &Context, per_type: BTreeMap<String, Vec<(f64, f64)>>) -> Vec<
 }
 
 /// F3's fold: memory-family CoV by type.
-pub fn f3_fold() -> Box<dyn ShardFold> {
+pub(crate) fn f3_fold() -> Box<dyn ShardFold> {
     family(
         "F3",
         "CoV by machine type: memory benchmarks",
+        "f3.cov",
         &[
             BenchmarkId::MemCopy,
             BenchmarkId::MemTriad,
@@ -166,37 +177,24 @@ pub fn f3_fold() -> Box<dyn ShardFold> {
 }
 
 /// F4's fold: disk-family CoV by type (HDD vs SSD ordering).
-pub fn f4_fold() -> Box<dyn ShardFold> {
+pub(crate) fn f4_fold() -> Box<dyn ShardFold> {
     family(
         "F4",
         "CoV by machine type: disk benchmarks",
+        "f4.cov",
         &BenchmarkId::DISK,
     )
 }
 
 /// F5's fold: network-family CoV by type (throughput the most stable
 /// subsystem).
-pub fn f5_fold() -> Box<dyn ShardFold> {
+pub(crate) fn f5_fold() -> Box<dyn ShardFold> {
     family(
         "F5",
         "CoV by machine type: network benchmarks",
+        "f5.cov",
         &BenchmarkId::NETWORK,
     )
-}
-
-/// F3: memory-family CoV by type.
-pub fn f3_cov_memory(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(f3_fold())
-}
-
-/// F4: disk-family CoV by type (HDD vs SSD ordering).
-pub fn f4_cov_disk(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(f4_fold())
-}
-
-/// F5: network-family CoV by type (throughput the most stable subsystem).
-pub fn f5_cov_network(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(f5_fold())
 }
 
 /// Median within-machine CoV across all types for one benchmark —
@@ -227,15 +225,12 @@ mod tests {
     #[test]
     fn tables_cover_all_types() {
         let ctx = Context::new(Scale::Quick, 12);
-        for (f, rows_per_bench) in [
-            (
-                f3_cov_memory as fn(&Context) -> Result<Vec<Artifact>, ExperimentError>,
-                3usize,
-            ),
-            (f4_cov_disk, 4),
-            (f5_cov_network, 2),
+        for (fold, rows_per_bench) in [
+            (f3_fold as fn() -> Box<dyn ShardFold>, 3usize),
+            (f4_fold, 4),
+            (f5_fold, 2),
         ] {
-            let artifacts = f(&ctx).unwrap();
+            let artifacts = ctx.run_fold(fold()).unwrap();
             match &artifacts[0] {
                 Artifact::Table(t) => {
                     assert_eq!(t.rows.len(), rows_per_bench * ctx.cluster.types().len());

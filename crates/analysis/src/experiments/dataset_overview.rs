@@ -16,16 +16,11 @@ struct OverviewFold {
 }
 
 /// T6's fold: overview counts plus the per-benchmark outlier fractions.
-pub fn t6_fold() -> Box<dyn ShardFold> {
+pub(crate) fn t6_fold() -> Box<dyn ShardFold> {
     Box::new(OverviewFold {
         overview: OverviewBuilder::new(),
         sweep: SweepBuilder::new(3.5),
     })
-}
-
-/// T6: overview counts plus the per-benchmark outlier fractions.
-pub fn t6_dataset_overview(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(t6_fold())
 }
 
 impl ShardFold for OverviewFold {
@@ -92,7 +87,7 @@ mod tests {
     #[test]
     fn overview_matches_store() {
         let ctx = Context::new(Scale::Quick, 121);
-        let artifacts = t6_dataset_overview(&ctx).unwrap();
+        let artifacts = ctx.run_fold(t6_fold()).unwrap();
         assert_eq!(artifacts.len(), 2);
         match &artifacts[0] {
             Artifact::Table(t) => {

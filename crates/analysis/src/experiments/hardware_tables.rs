@@ -7,7 +7,7 @@ use crate::context::Context;
 use crate::registry::ExperimentError;
 
 /// T1: the machine-type catalog with provisioned counts.
-pub fn t1_hardware(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn t1_hardware(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let mut t = Table::new(
         "T1",
         "Hardware catalog (fleet types and provisioned counts)",
@@ -43,7 +43,7 @@ pub fn t1_hardware(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
 }
 
 /// T2: the benchmark suite with families, units, and parameters.
-pub fn t2_benchmarks(_ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn t2_benchmarks(_ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let mut t = Table::new(
         "T2",
         "Benchmark suite (family, unit, parameters)",

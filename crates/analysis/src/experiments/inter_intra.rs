@@ -19,7 +19,7 @@ use crate::registry::{ExperimentError, ShardFold};
 
 /// Variance decomposition of one (type, benchmark) cell.
 #[derive(Debug, Clone)]
-pub struct Decomposition {
+struct Decomposition {
     /// Machine type.
     pub type_name: String,
     /// Benchmark.
@@ -113,6 +113,7 @@ fn decomposition(
 
 impl ShardFold for MomentCells {
     fn step(&mut self, shard: ShardView<'_>) -> Result<(), ExperimentError> {
+        let _span = telemetry::span("f12.moments");
         self.observe(shard);
         Ok(())
     }
@@ -150,16 +151,11 @@ impl ShardFold for MomentCells {
 }
 
 /// F12's fold: the decomposition for memory and disk benchmarks.
-pub fn f12_fold() -> Box<dyn ShardFold> {
+pub(crate) fn f12_fold() -> Box<dyn ShardFold> {
     Box::new(MomentCells::new(&[
         BenchmarkId::MemTriad,
         BenchmarkId::DiskSeqRead,
     ]))
-}
-
-/// F12: the decomposition table for memory and disk benchmarks.
-pub fn f12_inter_intra(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(f12_fold())
 }
 
 #[cfg(test)]
@@ -253,7 +249,7 @@ mod tests {
     #[test]
     fn f12_table_is_populated() {
         let ctx = Context::new(Scale::Quick, 85);
-        let artifacts = f12_inter_intra(&ctx).unwrap();
+        let artifacts = ctx.run_fold(f12_fold()).unwrap();
         match &artifacts[0] {
             Artifact::Table(t) => {
                 assert_eq!(t.rows.len(), 2 * ctx.cluster.types().len());

@@ -18,7 +18,7 @@ use crate::registry::ExperimentError;
 
 /// Outcome of the quiet-vs-contended comparison for one benchmark.
 #[derive(Debug, Clone)]
-pub struct InterferenceOutcome {
+struct InterferenceOutcome {
     /// The benchmark.
     pub benchmark: BenchmarkId,
     /// Run-to-run CoV on the quiet cluster.
@@ -34,7 +34,7 @@ pub struct InterferenceOutcome {
 }
 
 /// Runs the comparison on a fresh pair of clusters sharing the seed.
-pub fn compare_interference(ctx: &Context, benches: &[BenchmarkId]) -> Vec<InterferenceOutcome> {
+fn compare_interference(ctx: &Context, benches: &[BenchmarkId]) -> Vec<InterferenceOutcome> {
     let quiet = Cluster::provision(catalog(), 0.05, Timeline::quiet(10.0), ctx.seed);
     let noisy = Cluster::provision(catalog(), 0.05, Timeline::quiet(10.0), ctx.seed)
         .with_interference(InterferenceModel::noisy_neighbor());
@@ -76,7 +76,7 @@ pub fn compare_interference(ctx: &Context, benches: &[BenchmarkId]) -> Vec<Inter
 }
 
 /// F15: the quiet-vs-contended table.
-pub fn f15_interference(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f15_interference(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let benches = [
         BenchmarkId::MemTriad,
         BenchmarkId::DiskSeqRead,

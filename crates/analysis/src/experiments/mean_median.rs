@@ -17,7 +17,7 @@ use crate::registry::ExperimentError;
 
 /// One contamination level's outcome.
 #[derive(Debug, Clone, Copy)]
-pub struct ContaminationPoint {
+struct ContaminationPoint {
     /// Fraction of contaminated samples.
     pub contamination: f64,
     /// Relative bias of the mean estimate vs the clean truth.
@@ -32,7 +32,7 @@ pub struct ContaminationPoint {
 
 /// Runs the sweep: `trials` datasets of `n` samples at each contamination
 /// level; outliers run `outlier_factor` times slower.
-pub fn contamination_sweep(
+fn contamination_sweep(
     seed: u64,
     n: usize,
     trials: usize,
@@ -83,7 +83,7 @@ pub fn contamination_sweep(
 }
 
 /// F7 artifacts: bias curves and the summary table.
-pub fn f7_mean_vs_median(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f7_mean_vs_median(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let points = contamination_sweep(ctx.seed.wrapping_add(7), 50, 60, 3.0);
     let mut fig = SeriesSet::new(
         "F7",

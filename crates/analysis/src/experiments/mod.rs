@@ -19,21 +19,21 @@ pub(crate) fn draw(
         .ok_or_else(|| ExperimentError::new(format!("machine {} is not in the cluster", machine.0)))
 }
 
-pub mod ablation;
-pub mod allocation_bias;
-pub mod confirm_stability;
+pub(crate) mod ablation;
+pub(crate) mod allocation_bias;
+pub(crate) mod confirm_stability;
 pub mod confirm_study;
-pub mod convergence;
+pub(crate) mod convergence;
 pub mod cov;
-pub mod dataset_overview;
-pub mod hardware_tables;
-pub mod inter_intra;
-pub mod interference_study;
-pub mod mean_median;
-pub mod motivating;
+pub(crate) mod dataset_overview;
+pub(crate) mod hardware_tables;
+pub(crate) mod inter_intra;
+pub(crate) mod interference_study;
+pub(crate) mod mean_median;
+pub(crate) mod motivating;
 pub mod normality;
-pub mod parametric_vs_confirm;
-pub mod qq_study;
-pub mod scaling_law;
-pub mod temporal;
-pub mod variance_homogeneity;
+pub(crate) mod parametric_vs_confirm;
+pub(crate) mod qq_study;
+pub(crate) mod scaling_law;
+pub(crate) mod temporal;
+pub(crate) mod variance_homogeneity;

@@ -24,7 +24,7 @@ fn first_hdd_machine(ctx: &Context) -> testbed::MachineId {
 
 /// F1: 1000 repeated disk-write runs on one machine are skewed with a
 /// distinct outlier tail; the mean and median visibly disagree.
-pub fn f1_motivating(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f1_motivating(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let machine = first_hdd_machine(ctx);
     let runs: Vec<f64> = (0..1000u64)
         .map(|n| draw(&ctx.cluster, machine, BenchmarkId::DiskSeqWrite, 0.0, n))
@@ -75,7 +75,7 @@ pub fn f1_motivating(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
 
 /// F2: per-machine median memory bandwidth across one type's fleet is
 /// multimodal — nominally identical machines fall into distinct clusters.
-pub fn f2_memory_multimodal(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f2_memory_multimodal(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     // Use the type with the largest provisioned fleet for a dense
     // histogram, and widen the per-machine pool beyond the campaign by
     // sampling directly (cross-machine structure needs many machines; the

@@ -25,7 +25,7 @@ pub struct NormalityCensusRow {
 
 impl NormalityCensusRow {
     /// Fraction of sets passing.
-    pub fn pass_rate(&self) -> f64 {
+    fn pass_rate(&self) -> f64 {
         if self.sets == 0 {
             0.0
         } else {
@@ -132,13 +132,8 @@ pub fn census(ctx: &Context, alpha: f64) -> Result<Vec<NormalityCensusRow>, Expe
 }
 
 /// F6's fold: the census at alpha = 0.05.
-pub fn f6_fold() -> Box<dyn ShardFold> {
+pub(crate) fn f6_fold() -> Box<dyn ShardFold> {
     Box::new(Census::new(0.05))
-}
-
-/// F6: pass rates per benchmark plus the overall fraction.
-pub fn f6_normality(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(f6_fold())
 }
 
 #[cfg(test)]
@@ -178,7 +173,7 @@ mod tests {
     #[test]
     fn f6_table_has_total_row() {
         let ctx = Context::new(Scale::Quick, 23);
-        let artifacts = f6_normality(&ctx).unwrap();
+        let artifacts = ctx.run_fold(f6_fold()).unwrap();
         match &artifacts[0] {
             Artifact::Table(t) => {
                 assert_eq!(t.rows.len(), BenchmarkId::ALL.len() + 1);

@@ -18,14 +18,14 @@ use crate::experiments::confirm_study::machine_pool;
 use crate::registry::ExperimentError;
 
 /// The benchmarks compared in T3.
-pub const BENCHES: [BenchmarkId; 3] = [
+const BENCHES: [BenchmarkId; 3] = [
     BenchmarkId::MemTriad,
     BenchmarkId::DiskSeqRead,
     BenchmarkId::NetLatency,
 ];
 
 /// T3: the comparison table.
-pub fn t3_parametric_vs_confirm(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn t3_parametric_vs_confirm(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let mut t = Table::new(
         "T3",
         "Parametric (Jain) vs CONFIRM repetition estimates (+/-1%, 95%)",

@@ -15,7 +15,7 @@ use crate::context::{Context, ShardView};
 use crate::registry::{ExperimentError, ShardFold};
 
 /// Benchmarks whose QQ lines the figure draws.
-pub const REPRESENTATIVES: [BenchmarkId; 3] = [
+const REPRESENTATIVES: [BenchmarkId; 3] = [
     BenchmarkId::MemTriad,
     BenchmarkId::DiskSeqRead,
     BenchmarkId::NetLatency,
@@ -32,17 +32,11 @@ struct Filliben {
 
 /// F13's fold: QQ series per representative benchmark plus the
 /// per-benchmark Filliben correlation census.
-pub fn f13_fold() -> Box<dyn ShardFold> {
+pub(crate) fn f13_fold() -> Box<dyn ShardFold> {
     Box::new(Filliben {
         rs_per_bench: vec![Vec::new(); BenchmarkId::ALL.len()],
         scores: NormalScores::default(),
     })
-}
-
-/// F13: QQ series per representative benchmark plus the per-benchmark
-/// Filliben correlation census.
-pub fn f13_qq(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(f13_fold())
 }
 
 impl ShardFold for Filliben {
@@ -108,7 +102,7 @@ mod tests {
     #[test]
     fn heavy_tailed_benchmarks_have_lower_filliben_r() {
         let ctx = Context::new(Scale::Quick, 91);
-        let artifacts = f13_qq(&ctx).unwrap();
+        let artifacts = ctx.run_fold(f13_fold()).unwrap();
         match &artifacts[1] {
             Artifact::Table(t) => {
                 let r_of = |label: &str| -> f64 {
@@ -128,7 +122,7 @@ mod tests {
     #[test]
     fn qq_series_are_monotone() {
         let ctx = Context::new(Scale::Quick, 92);
-        let artifacts = f13_qq(&ctx).unwrap();
+        let artifacts = ctx.run_fold(f13_fold()).unwrap();
         match &artifacts[0] {
             Artifact::Figure(f) => {
                 assert_eq!(f.series.len(), REPRESENTATIVES.len());

@@ -16,11 +16,11 @@ use crate::context::Context;
 use crate::registry::ExperimentError;
 
 /// The CoV levels swept.
-pub const COV_SWEEP: [f64; 5] = [0.005, 0.01, 0.02, 0.04, 0.08];
+const COV_SWEEP: [f64; 5] = [0.005, 0.01, 0.02, 0.04, 0.08];
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct ScalingPoint {
+struct ScalingPoint {
     /// Coefficient of variation of the synthetic pool.
     pub cov: f64,
     /// CONFIRM's measured requirement (ordinal).
@@ -31,7 +31,7 @@ pub struct ScalingPoint {
 
 /// Runs the sweep: synthetic normal pools at each CoV, CONFIRM at
 /// `target` relative error.
-pub fn sweep(ctx: &Context, target: f64) -> Vec<ScalingPoint> {
+fn sweep(ctx: &Context, target: f64) -> Vec<ScalingPoint> {
     let z = normal_quantile(0.5 + ctx.confirm.confidence / 2.0).expect("valid confidence");
     let median_efficiency = (std::f64::consts::PI / 2.0).sqrt();
     COV_SWEEP
@@ -66,7 +66,7 @@ pub fn sweep(ctx: &Context, target: f64) -> Vec<ScalingPoint> {
 }
 
 /// F17: measured vs predicted requirements across the CoV sweep.
-pub fn f17_scaling_law(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f17_scaling_law(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let target = 0.01;
     let points = sweep(ctx, target);
     let mut fig = SeriesSet::new(

@@ -14,7 +14,7 @@ use crate::registry::ExperimentError;
 
 /// Builds a daily series (one sample per day, decorrelated nonces) of
 /// `bench` on `machine`.
-pub fn daily_series(ctx: &Context, machine: testbed::MachineId, bench: BenchmarkId) -> Vec<f64> {
+fn daily_series(ctx: &Context, machine: testbed::MachineId, bench: BenchmarkId) -> Vec<f64> {
     let days = ctx.cluster.timeline().duration_days as usize;
     (0..days)
         .map(|d| {
@@ -25,7 +25,7 @@ pub fn daily_series(ctx: &Context, machine: testbed::MachineId, bench: Benchmark
 }
 
 /// F11 artifacts: the series, the PELT/CUSUM detections, and ground truth.
-pub fn f11_temporal(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
+pub(crate) fn f11_temporal(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
     let bench = BenchmarkId::MemLatency;
     let machine = ctx.cluster.machines()[0].id;
     let series = daily_series(ctx, machine, bench);

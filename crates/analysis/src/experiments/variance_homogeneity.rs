@@ -18,7 +18,7 @@ use crate::registry::{ExperimentError, ShardFold};
 
 /// Outcome for one (type, benchmark) cell.
 #[derive(Debug, Clone)]
-pub struct HomogeneityCell {
+struct HomogeneityCell {
     /// Machine type.
     pub type_name: String,
     /// Brown–Forsythe p-value across the type's machines.
@@ -90,6 +90,7 @@ impl Homogeneity {
 
 impl ShardFold for Homogeneity {
     fn step(&mut self, shard: ShardView<'_>) -> Result<(), ExperimentError> {
+        let _span = telemetry::span("t7.homogeneity");
         self.observe(shard);
         Ok(())
     }
@@ -139,7 +140,7 @@ impl ShardFold for Homogeneity {
 /// T7's fold: per-benchmark fraction of types whose machines fail
 /// variance homogeneity, plus the per-type detail for the
 /// representative disk benchmark.
-pub fn t7_fold() -> Box<dyn ShardFold> {
+pub(crate) fn t7_fold() -> Box<dyn ShardFold> {
     Box::new(Homogeneity::new(&[
         BenchmarkId::MemTriad,
         BenchmarkId::DiskSeqRead,
@@ -147,13 +148,6 @@ pub fn t7_fold() -> Box<dyn ShardFold> {
         BenchmarkId::NetLatency,
         BenchmarkId::NetBandwidth,
     ]))
-}
-
-/// T7: per-benchmark fraction of types whose machines fail variance
-/// homogeneity, plus the per-type detail for the representative disk
-/// benchmark.
-pub fn t7_variance_homogeneity(ctx: &Context) -> Result<Vec<Artifact>, ExperimentError> {
-    ctx.run_fold(t7_fold())
 }
 
 #[cfg(test)]
@@ -238,7 +232,7 @@ mod tests {
     #[test]
     fn t7_artifact_shape() {
         let ctx = Context::new(Scale::Quick, 143);
-        let artifacts = t7_variance_homogeneity(&ctx).unwrap();
+        let artifacts = ctx.run_fold(t7_fold()).unwrap();
         assert_eq!(artifacts.len(), 2);
         match &artifacts[0] {
             Artifact::Table(t) => assert_eq!(t.rows.len(), 5),

@@ -3,11 +3,12 @@
 //! Every table and figure of the paper's evaluation (as reconstructed in
 //! DESIGN.md §4) has a pipeline here that regenerates it from the
 //! simulated campaign: T1/T2 (setup tables), F1–F12 (figures), T3/T4
-//! (comparison and summary tables). The [`registry`] maps ids to
-//! [`Experiment`] trait objects (id, kind, title, cost class, fallible
-//! `run`); the [`engine`] executes any slice of them across worker
-//! threads under a byte-identical determinism contract; the `repro`
-//! binary drives both from the command line:
+//! (comparison and summary tables). The registry ([`all`], [`find`])
+//! maps ids to [`Experiment`] trait objects (id, kind, title, cost
+//! class, fallible `run`); the engine ([`run_experiments`]) executes any
+//! slice of them across worker threads under a byte-identical
+//! determinism contract; the `repro` binary drives both from the command
+//! line:
 //!
 //! ```text
 //! cargo run -p serve --bin repro -- list
@@ -21,12 +22,12 @@
 // outside tests regresses that contract (DESIGN.md §8).
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
-pub mod artifact;
-pub mod cache;
-pub mod context;
-pub mod engine;
+mod artifact;
+mod cache;
+mod context;
+mod engine;
 pub mod experiments;
-pub mod registry;
+mod registry;
 mod requirements;
 
 pub use artifact::{Artifact, Series, SeriesSet, Table};

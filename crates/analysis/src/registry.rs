@@ -98,7 +98,7 @@ impl ExperimentError {
     }
 
     /// Creates a transient (retryable) error.
-    pub fn transient(message: impl Into<String>) -> Self {
+    pub(crate) fn transient(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
             class: ErrorClass::Transient,
@@ -111,7 +111,7 @@ impl ExperimentError {
     }
 
     /// Whether the engine should retry this failure.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         self.class == ErrorClass::Transient
     }
 }
@@ -178,7 +178,7 @@ pub trait Experiment: Sync {
 /// is dropped with it.
 ///
 /// A fold that needs a set in order — a median, Shapiro–Wilk, a QQ fit —
-/// reads [`ShardView::sorted`] rather than sorting [`ShardView::values`]
+/// reads `ShardView::sorted` rather than sorting `ShardView::values`
 /// itself: each shard sorts a benchmark's column once, for whichever
 /// fold asks first, and every fold on any worker shares that copy. Sums
 /// and moments stay over `values`, in record order, so their bits do not

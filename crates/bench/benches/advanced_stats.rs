@@ -1,48 +1,19 @@
-//! Benches for the second-wave statistics kernels: KDE, robust
-//! estimators, rank tests, stationarity, QQ analytics, and the
-//! speedup-ratio bootstrap.
+//! Benches for the second-wave statistics kernels: the Hodges–Lehmann
+//! estimator, stationarity, QQ analytics, and the speedup-ratio
+//! bootstrap.
 
 use std::hint::black_box;
 
 use bench::{skewed_data, Suite};
 use varstats::comparison::speedup_ci;
-use varstats::density::Kde;
 use varstats::qq::normal_qq;
-use varstats::ranktests::{kruskal_wallis, wilcoxon_signed_rank};
-use varstats::robust::{hodges_lehmann, hodges_lehmann_ci, trimmed_mean};
+use varstats::robust::hodges_lehmann;
 use varstats::stationarity::adf_test;
-
-fn kde(s: &mut Suite) {
-    for (n, iters) in [(100usize, 10), (1000, 1)] {
-        let data = skewed_data(n, 1);
-        s.bench(&format!("kde/grid200/{n}"), iters, || {
-            Kde::new(black_box(&data)).unwrap().grid(200).unwrap().len()
-        });
-    }
-}
 
 fn robust(s: &mut Suite) {
     let data = skewed_data(200, 2);
-    s.bench("robust/trimmed_mean_200", 500, || {
-        trimmed_mean(black_box(&data), 0.1).unwrap()
-    });
     s.bench("robust/hodges_lehmann_200", 2, || {
         hodges_lehmann(black_box(&data)).unwrap()
-    });
-    s.bench("robust/hodges_lehmann_ci_200", 2, || {
-        hodges_lehmann_ci(black_box(&data), 0.95).unwrap()
-    });
-}
-
-fn rank_tests(s: &mut Suite) {
-    let a = skewed_data(200, 3);
-    let b = skewed_data(200, 4);
-    let c = skewed_data(200, 5);
-    s.bench("rank_tests/wilcoxon_signed_rank_200", 200, || {
-        wilcoxon_signed_rank(black_box(&a), 105.0).unwrap()
-    });
-    s.bench("rank_tests/kruskal_wallis_3x200", 50, || {
-        kruskal_wallis(black_box(&[&a, &b, &c])).unwrap()
     });
 }
 
@@ -66,9 +37,7 @@ fn speedup(s: &mut Suite) {
 
 fn main() {
     let mut s = Suite::new("advanced_stats");
-    kde(&mut s);
     robust(&mut s);
-    rank_tests(&mut s);
     series_diagnostics(&mut s);
     speedup(&mut s);
     s.finish();

@@ -83,9 +83,6 @@ fn changepoint(s: &mut Suite) {
     s.bench("changepoint/pelt_500", 10, || {
         varstats::changepoint::pelt_mean(black_box(&series), None).unwrap()
     });
-    s.bench("changepoint/binseg_500", 100, || {
-        varstats::changepoint::binary_segmentation(black_box(&series), None, 8).unwrap()
-    });
 }
 
 fn main() {

@@ -6,7 +6,7 @@
 //! run-to-run variance up to 105%). After one untimed warm-up sample,
 //! each sample's time per iteration goes to a [`SequentialPlanner`] with
 //! the paper's defaults, and sampling stops once the median's
-//! order-statistic CI is within ±1% at 95% (`confirm`) or at [`CAP`]
+//! order-statistic CI is within ±1% at 95% (`confirm`) or at `CAP`
 //! samples (`cap`).
 //!
 //! Each bench prints one stderr line. [`Suite::finish`] prints the
@@ -28,7 +28,7 @@ use varstats::ci::ConfidenceInterval;
 use varstats::rng::Rng;
 
 /// Most samples a bench takes when its CI never narrows to ±1%.
-pub const CAP: usize = 100;
+const CAP: usize = 100;
 
 /// A bench's median time per iteration, in ns, with its 95% CI.
 #[derive(Debug)]

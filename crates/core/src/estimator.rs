@@ -78,7 +78,7 @@ pub enum Requirement {
 
 impl Requirement {
     /// The repetition count if satisfied.
-    pub fn count(&self) -> Option<usize> {
+    pub(crate) fn count(&self) -> Option<usize> {
         match self {
             Requirement::Satisfied(n) => Some(*n),
             Requirement::Exhausted { .. } => None,

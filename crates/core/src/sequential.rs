@@ -136,7 +136,7 @@ impl SequentialPlanner {
     /// # Errors
     ///
     /// Returns an error only for degenerate data (zero reference).
-    pub fn status(&self) -> Result<PlanStatus> {
+    fn status(&self) -> Result<PlanStatus> {
         let n = self.data.len();
         let floor = match self.config.statistic {
             Statistic::Median => min_samples_for_quantile_ci(0.5, self.config.confidence)?,

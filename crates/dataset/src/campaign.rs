@@ -372,7 +372,7 @@ fn collect_with(
 }
 
 /// The ids of the machines a campaign would collect, in the canonical
-/// ascending order ([`sorted_machine_ids`]). This is the unit-of-work
+/// ascending order (`sorted_machine_ids`). This is the unit-of-work
 /// universe distributed collection partitions: supervisor and workers
 /// must agree on it exactly, and it is a pure function of the cluster
 /// and configuration.

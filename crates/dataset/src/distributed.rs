@@ -42,7 +42,7 @@
 //! (survivors inherit a dead worker's completed shards), and
 //! process-level faults are gated on the unit's reassignment round
 //! exactly like transient faults are gated on the retry attempt
-//! ([`testbed::faults::MAX_FAULTS_PER_SITE`]), so a bounded reassignment
+//! ([`testbed::MAX_FAULTS_PER_SITE`]), so a bounded reassignment
 //! budget always converges. One hazard remains: a stale worker that has
 //! lost its lease can tear a shard after another worker marked the unit
 //! done. The caller therefore finishes with the in-process
@@ -345,22 +345,22 @@ impl ExchangeDir {
     }
 
     /// Whether the unit's done marker exists.
-    pub fn is_done(&self, unit: usize) -> bool {
+    fn is_done(&self, unit: usize) -> bool {
         self.done_path(unit).exists()
     }
 
     /// Marks the unit complete (published atomically).
-    pub fn mark_done(&self, unit: usize) -> io::Result<()> {
+    fn mark_done(&self, unit: usize) -> io::Result<()> {
         publish(&self.done_path(unit), &[("done", &unit)], "")
     }
 
     /// Whether the unit has been quarantined.
-    pub fn is_quarantined(&self, unit: usize) -> bool {
+    fn is_quarantined(&self, unit: usize) -> bool {
         self.quarantine_path(unit).exists()
     }
 
     /// Quarantines the unit after `attempts` failed rounds.
-    pub fn quarantine(&self, unit: usize, attempts: u32) -> io::Result<()> {
+    fn quarantine(&self, unit: usize, attempts: u32) -> io::Result<()> {
         publish(
             &self.quarantine_path(unit),
             &[("quarantined", &unit), ("attempts", &attempts)],
@@ -369,7 +369,7 @@ impl ExchangeDir {
     }
 
     /// Units that are neither done nor quarantined.
-    pub fn open_units(&self) -> Vec<&WorkUnit> {
+    fn open_units(&self) -> Vec<&WorkUnit> {
         self.units
             .iter()
             .filter(|u| !self.is_done(u.index) && !self.is_quarantined(u.index))
@@ -379,7 +379,7 @@ impl ExchangeDir {
     /// The unit's reassignment round: how many times the supervisor has
     /// reclaimed its lease. Workers feed this into the process-level
     /// fault sites, which is what makes chaos attempt-limited per unit.
-    pub fn attempts(&self, unit: usize) -> u32 {
+    fn attempts(&self, unit: usize) -> u32 {
         read(&self.attempts_path(unit), ["attempts"])
             .and_then(|([attempts], _)| number(&attempts))
             .unwrap_or(0)
@@ -387,7 +387,7 @@ impl ExchangeDir {
 
     /// Bumps the unit's reassignment round (supervisor-side, called
     /// *before* the lease is released so the next claimant observes it).
-    pub fn bump_attempts(&self, unit: usize) -> io::Result<u32> {
+    fn bump_attempts(&self, unit: usize) -> io::Result<u32> {
         let next = self.attempts(unit) + 1;
         publish(&self.attempts_path(unit), &[("attempts", &next)], "")?;
         Ok(next)
@@ -398,23 +398,23 @@ impl ExchangeDir {
     /// lease hands the unit back; chaos kill paths [`Lease::defuse`] it
     /// so the file survives the "crash" as it would a real SIGKILL,
     /// leaving the supervisor to reclaim it.
-    pub fn claim(&self, unit: usize, worker: usize) -> io::Result<Option<Lease>> {
+    fn claim(&self, unit: usize, worker: usize) -> io::Result<Option<Lease>> {
         Lease::claim(self.lease_path(unit), &worker.to_string())
     }
 
     /// Which worker's lease file currently claims the unit, if any.
-    pub fn lease_owner(&self, unit: usize) -> Option<usize> {
+    fn lease_owner(&self, unit: usize) -> Option<usize> {
         Lease::owner(&self.lease_path(unit))?.parse().ok()
     }
 
     /// Age of the unit's lease heartbeat (`None` if unleased).
-    pub fn lease_age(&self, unit: usize) -> Option<Duration> {
+    fn lease_age(&self, unit: usize) -> Option<Duration> {
         Lease::age(&self.lease_path(unit))
     }
 
     /// Removes the unit's lease file (supervisor-side reclaim). Missing
     /// is fine: the holder may have released it concurrently.
-    pub fn release_lease(&self, unit: usize) -> io::Result<()> {
+    fn release_lease(&self, unit: usize) -> io::Result<()> {
         Lease::remove(&self.lease_path(unit))
     }
 }
@@ -672,7 +672,7 @@ pub struct SupervisorConfig {
     /// Monitor loop tick.
     pub poll: Duration,
     /// Reassignment rounds before a unit is quarantined. Must exceed
-    /// [`testbed::faults::MAX_FAULTS_PER_SITE`] so chaos alone can never
+    /// [`testbed::MAX_FAULTS_PER_SITE`] so chaos alone can never
     /// quarantine a unit.
     pub max_unit_attempts: u32,
 }

@@ -232,7 +232,7 @@ impl ShardJournal {
     /// file and every shard envelope. The full `Debug` rendering enters
     /// the hash, so any field change — not just seed and scale —
     /// invalidates the journal.
-    pub fn config_fingerprint(config: &CampaignConfig) -> u64 {
+    pub(crate) fn config_fingerprint(config: &CampaignConfig) -> u64 {
         durable::fnv1a64(format!("{config:?}").as_bytes())
     }
 
@@ -516,7 +516,7 @@ impl ShardJournal {
 
     /// Sorted unique machine ids that currently have a shard file in the
     /// journal directory — the canonical replay order
-    /// ([`crate::store::sorted_machine_ids`]). Presence only: validation
+    /// (`crate::store::sorted_machine_ids`). Presence only: validation
     /// (checksum, config, payload) still happens at [`Self::load`] time.
     pub fn machines(&self) -> Result<Vec<MachineId>, JournalError> {
         let mut ids = Vec::new();

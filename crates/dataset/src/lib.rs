@@ -48,6 +48,6 @@ pub use fsck::{fsck, FsckReport};
 pub use journal::{JournalError, ShardJournal, ShardStatus};
 pub use outliers::{OutlierReport, SweepBuilder};
 pub use record::{benchmark_from_label, Record};
-pub use store::{sorted_machine_ids, Query, Store};
+pub use store::{Query, Store};
 pub use stream::{Shard, ShardReader, StreamError, StreamStats};
 pub use summarize::{DatasetOverview, OverviewBuilder};

@@ -24,7 +24,7 @@ impl Store {
     }
 
     /// Appends one record.
-    pub fn push(&mut self, record: Record) {
+    pub(crate) fn push(&mut self, record: Record) {
         self.records.push(record);
     }
 
@@ -51,7 +51,7 @@ impl Store {
     /// Merges another store's records into this one (append semantics;
     /// use when combining campaigns or sites). An empty store takes the
     /// other's allocation instead of copying it.
-    pub fn merge(&mut self, other: Store) {
+    pub(crate) fn merge(&mut self, other: Store) {
         if self.records.is_empty() {
             self.records = other.records;
         } else {
@@ -81,7 +81,7 @@ impl Store {
 /// them in this order, and the streaming layer folds shards in this
 /// order — which is what makes materialized and streaming analysis
 /// byte-identical (DESIGN.md §11).
-pub fn sorted_machine_ids(ids: impl IntoIterator<Item = MachineId>) -> Vec<MachineId> {
+pub(crate) fn sorted_machine_ids(ids: impl IntoIterator<Item = MachineId>) -> Vec<MachineId> {
     let mut ids: Vec<MachineId> = ids.into_iter().collect();
     ids.sort_unstable();
     ids.dedup();

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The FNV-1a 64-bit offset basis: the hash of no bytes.
-pub const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV1A64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a, 64-bit: tiny, dependency-free, and stable across platforms.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

@@ -2,7 +2,7 @@
 //!
 //! For every metric the newest record carries, the auditor builds the
 //! series of prior values from *comparable* records (same kind, scale,
-//! and workload fingerprint — see [`RunRecord::comparable_to`]) and
+//! and workload fingerprint — see `RunRecord::comparable_to`) and
 //! scores the new value two ways:
 //!
 //! * **Robust z-score** ([`varstats::robust::robust_zscore`]) against

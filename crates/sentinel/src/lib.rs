@@ -34,13 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod history;
+mod history;
 pub mod record;
 pub mod report;
 
 pub use audit::{audit, AuditConfig, AuditReport, MetricFinding, MetricStatus};
 pub use history::{HistoryStore, LoadedHistory};
-pub use record::{RunRecord, RECORD_SCHEMA_VERSION};
+pub use record::RunRecord;
 
 use std::fmt;
 
@@ -96,4 +96,4 @@ impl From<varstats::StatsError> for SentinelError {
 }
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, SentinelError>;
+type Result<T> = std::result::Result<T, SentinelError>;

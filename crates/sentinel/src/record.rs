@@ -12,7 +12,7 @@ use telemetry::{RunManifest, MANIFEST_SCHEMA_VERSION};
 
 /// Version of the record format. Bump on any change to the envelope or
 /// payload grammar.
-pub const RECORD_SCHEMA_VERSION: u32 = 1;
+const RECORD_SCHEMA_VERSION: u32 = 1;
 
 /// First line of every record file.
 const RECORD_HEADER: &str = "sentinel-record v1";
@@ -31,7 +31,7 @@ const RECORD_HEADER: &str = "sentinel-record v1";
 /// name order, matching the telemetry snapshot ordering contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Record format version ([`RECORD_SCHEMA_VERSION`] at write time).
+    /// Record format version (`RECORD_SCHEMA_VERSION` at write time).
     pub schema_version: u32,
     /// What kind of run this was: `"repro-all"`, `"campaign"`,
     /// `"bench"`, or a caller-chosen label. Audits only compare runs of
@@ -302,7 +302,7 @@ impl RunRecord {
     /// Whether `other` describes the same population of runs: equal
     /// kind, scale, and workload fingerprint. Only comparable runs feed
     /// an audit baseline.
-    pub fn comparable_to(&self, other: &RunRecord) -> bool {
+    pub(crate) fn comparable_to(&self, other: &RunRecord) -> bool {
         self.kind == other.kind && self.scale == other.scale && self.workload == other.workload
     }
 }

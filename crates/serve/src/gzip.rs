@@ -350,7 +350,7 @@ pub fn encode(data: &[u8]) -> Vec<u8> {
 /// Whether an `Accept-Encoding` header value negotiates gzip: a `gzip`
 /// (or `*`) entry whose quality is not zero. `None` (no header) is
 /// identity.
-pub fn negotiates_gzip(accept_encoding: Option<&str>) -> bool {
+pub(crate) fn negotiates_gzip(accept_encoding: Option<&str>) -> bool {
     let Some(value) = accept_encoding else {
         return false;
     };

@@ -190,7 +190,7 @@ impl Request {
     }
 
     /// First header with `name` (case-insensitive), if any.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let name = name.to_ascii_lowercase();
         self.headers
             .iter()
@@ -199,7 +199,7 @@ impl Request {
     }
 
     /// First query parameter named `name`, if any.
-    pub fn query_param(&self, name: &str) -> Option<&str> {
+    pub(crate) fn query_param(&self, name: &str) -> Option<&str> {
         self.query
             .iter()
             .find(|(n, _)| n == name)
@@ -210,7 +210,7 @@ impl Request {
     /// response: HTTP/1.1 defaults to keep-alive unless
     /// `Connection: close`, HTTP/1.0 defaults to close unless
     /// `Connection: keep-alive`.
-    pub fn keep_alive(&self) -> bool {
+    pub(crate) fn keep_alive(&self) -> bool {
         match self.header("connection") {
             Some(v) => v.eq_ignore_ascii_case("keep-alive"),
             None => self.minor >= 1,
@@ -219,7 +219,7 @@ impl Request {
 
     /// Whether the response may use chunked transfer coding (HTTP/1.1
     /// only; a 1.0 client must get `Content-Length` framing).
-    pub fn accepts_chunked(&self) -> bool {
+    pub(crate) fn accepts_chunked(&self) -> bool {
         self.minor >= 1
     }
 }
@@ -252,7 +252,7 @@ fn reason(status: u16) -> &'static str {
 
 impl Response {
     /// A plain-text response (`text/plain; charset=utf-8`).
-    pub fn text(status: u16, body: impl Into<String>) -> Self {
+    pub(crate) fn text(status: u16, body: impl Into<String>) -> Self {
         Response {
             status,
             headers: vec![(
@@ -264,7 +264,7 @@ impl Response {
     }
 
     /// An empty response with no content-type (e.g. `304`).
-    pub fn empty(status: u16) -> Self {
+    pub(crate) fn empty(status: u16) -> Self {
         Response {
             status,
             headers: Vec::new(),
@@ -273,7 +273,7 @@ impl Response {
     }
 
     /// First response header named `name` (case-insensitive), if any.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
@@ -281,13 +281,13 @@ impl Response {
     }
 
     /// Appends a header, builder style.
-    pub fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub(crate) fn with_header(mut self, name: &str, value: impl Into<String>) -> Self {
         self.headers.push((name.to_string(), value.into()));
         self
     }
 
     /// Replaces the declared content type.
-    pub fn with_content_type(mut self, value: &str) -> Self {
+    pub(crate) fn with_content_type(mut self, value: &str) -> Self {
         self.headers.retain(|(n, _)| n != "Content-Type");
         self.headers
             .insert(0, ("Content-Type".to_string(), value.to_string()));
@@ -296,7 +296,11 @@ impl Response {
 
     /// Serializes the response. `Content-Length` and `Connection` are
     /// written by the server, so handlers never get them wrong.
-    pub fn write_to(&self, writer: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+    pub(crate) fn write_to(
+        &self,
+        writer: &mut impl Write,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
         write!(
             writer,
             "HTTP/1.1 {} {}\r\n",
@@ -325,7 +329,7 @@ impl Response {
     /// Each chunk is written as it is pulled from the iterator and may
     /// be borrowed or shared (`AsRef<[u8]>`), so serving a kept body
     /// copies none of it.
-    pub fn write_chunked_to<C: AsRef<[u8]>>(
+    pub(crate) fn write_chunked_to<C: AsRef<[u8]>>(
         &self,
         writer: &mut impl Write,
         keep_alive: bool,

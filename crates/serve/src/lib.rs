@@ -26,7 +26,7 @@
 //!   Retry-After` ([`server::ServerConfig`]).
 //! - **Bodies rendered once.** Each artifact body is rendered once per
 //!   representation (format, `artifact=` selector, encoding) and kept
-//!   in a memo bounded by [`service::BODY_MEMO_BUDGET`]; a hot request
+//!   in a memo bounded by `BODY_MEMO_BUDGET` (8 MiB); a hot request
 //!   replays the finished chunks. A body is a pure function of the
 //!   cache fingerprint and the representation, so a kept one is never
 //!   stale.
@@ -57,11 +57,9 @@ mod flight;
 pub mod gzip;
 pub mod http;
 mod memo;
-pub mod server;
-pub mod service;
+mod server;
+mod service;
 
 pub use http::{Request, Response};
 pub use server::{Server, ServerConfig};
-pub use service::{
-    render_experiments, render_metrics, ArtifactService, BodyStream, Reply, ServeOptions, Streamed,
-};
+pub use service::{ArtifactService, BodyStream, Reply, ServeOptions, Streamed};

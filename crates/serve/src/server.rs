@@ -57,7 +57,7 @@ impl Default for ServerConfig {
 impl ServerConfig {
     /// The effective worker count (resolves `None` to the machine's
     /// available parallelism, and never goes below one thread).
-    pub fn worker_count(&self) -> usize {
+    fn worker_count(&self) -> usize {
         self.workers
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()

@@ -57,7 +57,7 @@ const CONTEXT_POOL_CAP: usize = 8;
 /// text, is 20 KB. At the budget arbitrary entries are evicted, as in
 /// the context pool; a body larger than the budget is served but not
 /// kept.
-pub const BODY_MEMO_BUDGET: usize = 8 << 20;
+const BODY_MEMO_BUDGET: usize = 8 << 20;
 
 /// Configuration for [`ArtifactService`].
 #[derive(Debug, Clone)]
@@ -359,6 +359,13 @@ impl ArtifactService {
         key: &CacheKey,
         representation: &Representation,
     ) -> Result<Body, Response> {
+        // An unknown format is refused before the fetch, so it never
+        // computes or stores a cold key.
+        let csv = match representation.format.as_str() {
+            "text" => false,
+            "csv" => true,
+            other => return Err(Response::text(400, format!("unknown format `{other}`\n"))),
+        };
         let artifacts = self
             .artifacts_for_key(experiment, scale, seed, key)
             .map_err(|why| Response::text(500, format!("{id}: {why}\n")))?;
@@ -374,17 +381,12 @@ impl ArtifactService {
             },
             None => artifacts.iter().collect(),
         };
-        let csv = match representation.format.as_str() {
-            "text" => false,
-            "csv" if selected.len() == 1 => true,
-            "csv" => {
-                return Err(Response::text(
-                    400,
-                    "format=csv requires an artifact= selector\n",
-                ))
-            }
-            other => return Err(Response::text(400, format!("unknown format `{other}`\n"))),
-        };
+        if csv && selected.len() != 1 {
+            return Err(Response::text(
+                400,
+                "format=csv requires an artifact= selector\n",
+            ));
+        }
         Ok(render_body(&selected, csv, representation.gzip))
     }
 
@@ -605,7 +607,7 @@ fn endpoint_label(path: &str) -> &'static str {
 }
 
 /// The registry listing, byte-identical to `repro list`.
-pub fn render_experiments() -> String {
+fn render_experiments() -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<4}  {:<6}  {:<6}  title\n",
@@ -626,7 +628,7 @@ pub fn render_experiments() -> String {
 /// The live metrics snapshot as a deterministic text format: one line
 /// per metric, sections in snapshot order (alphabetical by name — the
 /// [`telemetry::metrics::MetricsSnapshot`] ordering contract).
-pub fn render_metrics() -> String {
+fn render_metrics() -> String {
     fn opt(v: Option<f64>) -> String {
         v.map_or_else(|| "-".to_string(), |v| format!("{v}"))
     }

@@ -354,6 +354,39 @@ fn daemon_rejects_bad_requests_without_dying() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The value of `counter NAME` in a `/metrics` body; a counter that was
+/// never touched is not listed, which reads as 0.
+fn counter(metrics: &str, name: &str) -> u64 {
+    let prefix = format!("counter {name} ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(&prefix))
+        .map_or(0, |v| v.parse().expect("counter value"))
+}
+
+#[test]
+fn unknown_format_is_refused_before_anything_is_computed() {
+    let root = temp_root("badformat");
+    let cache_dir = root.join("cache");
+    let daemon = Daemon::spawn(&cache_dir);
+    let (status, _, body) = daemon.get("/v1/artifacts/F9?seed=3&scale=quick&format=yaml", None);
+    assert_eq!(status, 400);
+    assert!(body.contains("unknown format `yaml`"), "{body}");
+    let (_, _, metrics) = daemon.get("/metrics", None);
+    assert_eq!(counter(&metrics, "cache.miss"), 0, "{metrics}");
+    assert_eq!(counter(&metrics, "cache.stored"), 0, "{metrics}");
+    let entries = std::fs::read_dir(&cache_dir).map_or(0, |dir| {
+        dir.filter(|e| {
+            e.as_ref()
+                .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "entry"))
+        })
+        .count()
+    });
+    assert_eq!(entries, 0, "a refused request left a cache entry");
+    daemon.kill();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn closed_stderr_survives_a_failed_cache_store() {
     // A store the daemon could not make is reported on stderr; with the

@@ -131,7 +131,7 @@ impl BrownForsytheFold {
     }
 
     /// Groups folded so far.
-    pub fn groups(&self) -> usize {
+    fn groups(&self) -> usize {
         self.anova.groups.len()
     }
 

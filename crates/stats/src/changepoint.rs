@@ -4,9 +4,9 @@
 //! firmware changes and hardware degradation shift performance levels over
 //! months. Treating such a series as one i.i.d. sample poisons every
 //! downstream statistic, so campaigns must be segmented first. Provided:
-//! a CUSUM single-change detector with permutation significance, greedy
-//! binary segmentation, and the exact PELT dynamic program (Killick et
-//! al.) with an SSE (mean-shift) cost.
+//! a CUSUM single-change detector with permutation significance and the
+//! exact PELT dynamic program (Killick et al.) with an SSE (mean-shift)
+//! cost.
 
 use crate::error::{check_finite, invalid, Result, StatsError};
 use crate::rng::Rng;
@@ -53,7 +53,7 @@ impl Prefix {
 /// # Errors
 ///
 /// Returns an error with fewer than 3 samples or invalid input.
-pub fn robust_noise_sigma(data: &[f64]) -> Result<f64> {
+fn robust_noise_sigma(data: &[f64]) -> Result<f64> {
     check_finite(data)?;
     if data.len() < 3 {
         return Err(StatsError::TooFewSamples {
@@ -203,66 +203,6 @@ pub fn pelt_mean(data: &[f64], penalty: Option<f64>) -> Result<Vec<usize>> {
             None => break,
         }
     }
-    Ok(cps)
-}
-
-/// Greedy binary segmentation with the same SSE cost and penalty semantics
-/// as [`pelt_mean`]. Faster but only approximate; kept as the ablation
-/// baseline.
-///
-/// # Errors
-///
-/// Same as [`pelt_mean`].
-pub fn binary_segmentation(
-    data: &[f64],
-    penalty: Option<f64>,
-    max_changepoints: usize,
-) -> Result<Vec<usize>> {
-    check_finite(data)?;
-    let n = data.len();
-    if n < 6 {
-        return Err(StatsError::TooFewSamples { needed: 6, got: n });
-    }
-    let beta = match penalty {
-        Some(b) if b > 0.0 => b,
-        Some(b) => {
-            return Err(invalid("penalty", format!("must be > 0, got {b}")));
-        }
-        None => {
-            let sigma = robust_noise_sigma(data)?;
-            3.0 * (sigma * sigma).max(1e-12) * (n as f64).ln()
-        }
-    };
-    let prefix = Prefix::new(data);
-    let mut cps: Vec<usize> = Vec::new();
-    let mut segments: Vec<(usize, usize)> = vec![(0, n)];
-    while cps.len() < max_changepoints {
-        let mut best_gain = 0.0;
-        let mut best_split = None;
-        for &(s, e) in &segments {
-            if e - s < 4 {
-                continue;
-            }
-            let whole = prefix.cost(s, e);
-            for k in s + 2..e - 1 {
-                let gain = whole - prefix.cost(s, k) - prefix.cost(k, e);
-                if gain > best_gain {
-                    best_gain = gain;
-                    best_split = Some((s, k, e));
-                }
-            }
-        }
-        match best_split {
-            Some((s, k, e)) if best_gain > beta => {
-                cps.push(k);
-                segments.retain(|&seg| seg != (s, e));
-                segments.push((s, k));
-                segments.push((k, e));
-            }
-            _ => break,
-        }
-    }
-    cps.sort_unstable();
     Ok(cps)
 }
 
@@ -427,16 +367,6 @@ mod tests {
         let strict = pelt_mean(&data, Some(1e6)).unwrap();
         assert!(loose.len() >= strict.len());
         assert!(strict.is_empty());
-    }
-
-    #[test]
-    fn binseg_agrees_with_pelt_on_clean_data() {
-        let data = noisy_steps(&[(5.0, 40), (9.0, 40)], 5, 0.3);
-        let p = pelt_mean(&data, None).unwrap();
-        let b = binary_segmentation(&data, None, 5).unwrap();
-        assert_eq!(p.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert!((p[0] as i64 - b[0] as i64).abs() <= 1);
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Bootstrap {
     ///
     /// Returns an error on empty/non-finite input, too few resamples, or if
     /// the statistic produces a non-finite value.
-    pub fn distribution<F>(&self, data: &[f64], statistic: F) -> Result<Vec<f64>>
+    fn distribution<F>(&self, data: &[f64], statistic: F) -> Result<Vec<f64>>
     where
         F: Fn(&[f64]) -> f64,
     {

@@ -27,7 +27,7 @@ pub struct ConfidenceInterval {
 
 impl ConfidenceInterval {
     /// Interval width `upper - lower`.
-    pub fn width(&self) -> f64 {
+    fn width(&self) -> f64 {
         self.upper - self.lower
     }
 
@@ -64,7 +64,7 @@ impl ConfidenceInterval {
 /// # Errors
 ///
 /// Returns an error unless `0 < confidence < 1`.
-pub fn check_confidence(confidence: f64) -> Result<f64> {
+pub(crate) fn check_confidence(confidence: f64) -> Result<f64> {
     if !(confidence > 0.0 && confidence < 1.0) {
         return Err(invalid(
             "confidence",

@@ -86,7 +86,7 @@ impl Moments {
     /// Unbiased sample variance (`n - 1` denominator).
     ///
     /// Returns 0 when fewer than two observations have been seen.
-    pub fn sample_variance(&self) -> f64 {
+    fn sample_variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -124,7 +124,7 @@ impl Moments {
     /// Sample skewness `g1 = sqrt(n) m3 / m2^(3/2)`.
     ///
     /// Returns 0 for degenerate (constant) data.
-    pub fn skewness(&self) -> f64 {
+    fn skewness(&self) -> f64 {
         if self.n < 2 || self.m2 == 0.0 {
             return 0.0;
         }
@@ -135,7 +135,7 @@ impl Moments {
     /// Excess kurtosis `g2 = n m4 / m2^2 - 3`.
     ///
     /// Returns 0 for degenerate (constant) data.
-    pub fn excess_kurtosis(&self) -> f64 {
+    fn excess_kurtosis(&self) -> f64 {
         if self.n < 2 || self.m2 == 0.0 {
             return 0.0;
         }
@@ -144,7 +144,7 @@ impl Moments {
     }
 
     /// Standard error of the mean, `s / sqrt(n)`.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -178,7 +178,7 @@ pub fn mean(data: &[f64]) -> Result<f64> {
 /// # Errors
 ///
 /// Returns an error on empty or non-finite input.
-pub fn std_dev(data: &[f64]) -> Result<f64> {
+pub(crate) fn std_dev(data: &[f64]) -> Result<f64> {
     check_finite(data)?;
     Ok(data.iter().copied().collect::<Moments>().std_dev())
 }
@@ -245,7 +245,7 @@ pub struct Summary {
 
 impl Summary {
     /// Computes the summary of a validated sample set.
-    pub fn from_samples(samples: &Samples) -> Self {
+    pub(crate) fn from_samples(samples: &Samples) -> Self {
         let sorted = samples.sorted();
         let moments: Moments = samples.data().iter().copied().collect();
         let q =

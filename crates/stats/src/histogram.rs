@@ -86,7 +86,7 @@ impl Histogram {
     }
 
     /// Left edge of bin `i`.
-    pub fn bin_left(&self, i: usize) -> f64 {
+    fn bin_left(&self, i: usize) -> f64 {
         self.min + i as f64 * self.bin_width
     }
 

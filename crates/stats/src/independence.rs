@@ -50,14 +50,14 @@ pub fn autocorrelation(data: &[f64], lag: usize) -> Result<f64> {
 /// # Errors
 ///
 /// Same as [`autocorrelation`].
-pub fn acf(data: &[f64], max_lag: usize) -> Result<Vec<f64>> {
+fn acf(data: &[f64], max_lag: usize) -> Result<Vec<f64>> {
     (1..=max_lag).map(|l| autocorrelation(data, l)).collect()
 }
 
 /// The approximate 95% white-noise band for an ACF of a series of length
 /// `n`: correlations within `±1.96/sqrt(n)` are consistent with
 /// independence.
-pub fn acf_confidence_band(n: usize) -> f64 {
+fn acf_confidence_band(n: usize) -> f64 {
     1.96 / (n as f64).sqrt()
 }
 

@@ -56,7 +56,6 @@ pub mod anova;
 pub mod changepoint;
 pub mod ci;
 pub mod comparison;
-pub mod density;
 pub mod descriptive;
 pub mod error;
 pub mod histogram;
@@ -65,10 +64,9 @@ pub mod normality;
 pub mod online;
 pub mod qq;
 pub mod quantile;
-pub mod ranktests;
 pub mod rng;
 pub mod robust;
-pub mod samples;
+mod samples;
 pub mod samplesize;
 pub mod special;
 pub mod stationarity;

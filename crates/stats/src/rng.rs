@@ -69,7 +69,7 @@ impl Rng {
 
     /// A uniform draw from `lo..=hi`. Panics if the range is empty.
     #[inline]
-    pub fn range_inclusive(&mut self, range: RangeInclusive<usize>) -> usize {
+    pub(crate) fn range_inclusive(&mut self, range: RangeInclusive<usize>) -> usize {
         assert!(!range.is_empty(), "cannot sample an empty range");
         let (lo, hi) = range.into_inner();
         lo + self.below((hi - lo) as u64 + 1) as usize

@@ -1,10 +1,7 @@
-//! Robust location estimators and robust standardization.
+//! A robust location estimator and robust standardization.
 //!
 //! Between "the mean" (efficient, fragile) and "the median" (robust, less
-//! efficient) sits a family of estimators the measurement literature
-//! leans on: the trimmed mean and the Hodges–Lehmann
-//! pseudo-median with its exact distribution-free confidence interval
-//! (the one-sample companion of the Mann–Whitney test).
+//! efficient) sits the Hodges–Lehmann pseudo-median.
 //!
 //! The median/MAD pair also powers robust standardization
 //! ([`robust_zscore`]): the regression sentinel
@@ -13,52 +10,7 @@
 //! baseline it is judged against (mean/stddev z-scores have a breakdown
 //! point of 0; median/MAD hold up to 50% contamination).
 
-use crate::ci::{check_confidence, ConfidenceInterval};
 use crate::error::{check_finite, invalid, Result, StatsError};
-use crate::special::normal_quantile;
-
-fn sorted_copy(data: &[f64]) -> Result<Vec<f64>> {
-    check_finite(data)?;
-    let mut v = data.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
-    Ok(v)
-}
-
-/// The `fraction`-trimmed mean: drops the lowest and highest `fraction`
-/// of samples and averages the rest.
-///
-/// # Errors
-///
-/// Returns an error on invalid input, `fraction` outside `[0, 0.5)`, or
-/// if trimming would discard everything.
-///
-/// # Examples
-///
-/// ```
-/// use varstats::robust::trimmed_mean;
-///
-/// let data = [1.0, 2.0, 3.0, 4.0, 100.0];
-/// // 20% trim drops the 1.0 and the 100.0.
-/// assert_eq!(trimmed_mean(&data, 0.2).unwrap(), 3.0);
-/// ```
-pub fn trimmed_mean(data: &[f64], fraction: f64) -> Result<f64> {
-    if !(0.0..0.5).contains(&fraction) {
-        return Err(invalid(
-            "fraction",
-            format!("must be in [0, 0.5), got {fraction}"),
-        ));
-    }
-    let sorted = sorted_copy(data)?;
-    let k = (sorted.len() as f64 * fraction).floor() as usize;
-    let kept = &sorted[k..sorted.len() - k];
-    if kept.is_empty() {
-        return Err(StatsError::TooFewSamples {
-            needed: 2 * k + 1,
-            got: sorted.len(),
-        });
-    }
-    Ok(kept.iter().sum::<f64>() / kept.len() as f64)
-}
 
 /// The Hodges–Lehmann estimator: the median of all pairwise Walsh
 /// averages `(x_i + x_j) / 2`, `i <= j`.
@@ -103,7 +55,7 @@ fn walsh_averages(data: &[f64]) -> Vec<f64> {
 /// Heavily tied samples (quantized timers, counters) can collapse the
 /// MAD to zero even though the sample varies; the scale then falls back
 /// to the normal-consistent IQR (`/ 1.349`) and finally to the standard
-/// deviation, the same ladder [`crate::changepoint::robust_noise_sigma`]
+/// deviation, the same ladder `changepoint::robust_noise_sigma`
 /// uses. A returned scale of exactly `0.0` therefore means the sample is
 /// constant. Every rung of the ladder is shift- and (positive-)
 /// scale-equivariant, so z-scores built from this pair are too.
@@ -178,60 +130,15 @@ pub fn robust_zscore(reference: &[f64], x: f64) -> Result<f64> {
     Ok(standardize(x, location, scale))
 }
 
-/// Distribution-free confidence interval for the Hodges–Lehmann
-/// pseudo-median, from the Wilcoxon signed-rank distribution (normal
-/// approximation to the rank count).
-///
-/// # Errors
-///
-/// Returns an error on invalid input, fewer than 6 samples, or an invalid
-/// confidence level.
-pub fn hodges_lehmann_ci(data: &[f64], confidence: f64) -> Result<ConfidenceInterval> {
-    check_finite(data)?;
-    check_confidence(confidence)?;
-    let n = data.len();
-    if n < 6 {
-        return Err(StatsError::TooFewSamples { needed: 6, got: n });
-    }
-    let averages = walsh_averages(data);
-    let m = averages.len(); // n(n+1)/2 Walsh averages.
-    let nf = n as f64;
-    let z = normal_quantile(0.5 + confidence / 2.0)?;
-    // Wilcoxon signed-rank mean and variance.
-    let mean = nf * (nf + 1.0) / 4.0;
-    let sd = (nf * (nf + 1.0) * (2.0 * nf + 1.0) / 24.0).sqrt();
-    // Rank cutoff: the k-th smallest / largest Walsh average.
-    let k = (mean - z * sd).floor().max(0.0) as usize;
-    let lower = averages[k.min(m - 1)];
-    let upper = averages[m - 1 - k.min(m - 1)];
-    let estimate = crate::quantile::median(&averages)?;
-    Ok(ConfidenceInterval {
-        estimate,
-        lower: lower.min(upper),
-        upper: lower.max(upper),
-        confidence,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trimmed_mean_known_values() {
-        let data = [1.0, 2.0, 3.0, 4.0, 100.0];
-        assert_eq!(trimmed_mean(&data, 0.2).unwrap(), 3.0);
-        assert_eq!(trimmed_mean(&data, 0.0).unwrap(), 22.0);
-    }
 
     #[test]
     fn robust_estimators_shrug_off_outliers() {
         let clean: Vec<f64> = (1..=20).map(f64::from).collect();
         let mut dirty = clean.clone();
         dirty[19] = 1.0e6;
-        let t_clean = trimmed_mean(&clean, 0.1).unwrap();
-        let t_dirty = trimmed_mean(&dirty, 0.1).unwrap();
-        assert!((t_clean - t_dirty).abs() < 1.5);
         let hl_clean = hodges_lehmann(&clean).unwrap();
         let hl_dirty = hodges_lehmann(&dirty).unwrap();
         assert!((hl_clean - hl_dirty).abs() < 1.5);
@@ -245,34 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn hodges_lehmann_ci_brackets_the_estimate() {
-        let data: Vec<f64> = (0..40).map(|i| 100.0 + ((i * 13) % 17) as f64).collect();
-        let ci = hodges_lehmann_ci(&data, 0.95).unwrap();
-        assert!(ci.lower <= ci.estimate && ci.estimate <= ci.upper);
-        assert!(ci.width() > 0.0);
-        let ci99 = hodges_lehmann_ci(&data, 0.99).unwrap();
-        assert!(ci99.width() >= ci.width());
-    }
-
-    #[test]
-    fn hodges_lehmann_ci_coverage_on_uniform_data() {
-        // Uniform(0, 2) is symmetric about 1: the pseudo-median is 1.
-        let mut unit = crate::splitmix(5);
-        let mut uniform = move || 2.0 * unit();
-        let mut hits = 0;
-        let trials = 200;
-        for _ in 0..trials {
-            let data: Vec<f64> = (0..25).map(|_| uniform()).collect();
-            let ci = hodges_lehmann_ci(&data, 0.95).unwrap();
-            if ci.contains(1.0) {
-                hits += 1;
-            }
-        }
-        let coverage = hits as f64 / trials as f64;
-        assert!(coverage >= 0.90, "coverage {coverage}");
-    }
-
-    #[test]
     fn zscore_rejects_non_finite_observation() {
         let history = [1.0, 2.0, 3.0];
         assert!(robust_zscore(&history, f64::NAN).is_err());
@@ -281,11 +160,6 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(trimmed_mean(&[], 0.1).is_err());
-        assert!(trimmed_mean(&[1.0], 0.5).is_err());
-        assert!(trimmed_mean(&[1.0], -0.1).is_err());
         assert!(hodges_lehmann(&[f64::NAN]).is_err());
-        assert!(hodges_lehmann_ci(&[1.0, 2.0, 3.0], 0.95).is_err());
-        assert!(hodges_lehmann_ci(&(0..10).map(f64::from).collect::<Vec<_>>(), 1.5).is_err());
     }
 }

@@ -46,7 +46,7 @@ impl Samples {
     /// # Errors
     ///
     /// Same as [`Samples::new`].
-    pub fn from_slice(data: &[f64]) -> Result<Self> {
+    pub(crate) fn from_slice(data: &[f64]) -> Result<Self> {
         Self::new(data.to_vec())
     }
 
@@ -71,12 +71,12 @@ impl Samples {
     }
 
     /// Smallest sample.
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.sorted[0]
     }
 
     /// Largest sample.
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.sorted[self.sorted.len() - 1]
     }
 

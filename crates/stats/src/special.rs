@@ -10,7 +10,7 @@
 use crate::error::{invalid, Result, StatsError};
 
 /// Natural logarithm of `sqrt(2 * pi)`.
-pub const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_8;
+const LN_SQRT_2PI: f64 = 0.918_938_533_204_672_8;
 
 /// Lanczos coefficients (g = 7, n = 9).
 const LANCZOS: [f64; 9] = [
@@ -57,7 +57,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// Uses the Chebyshev-fitted rational approximation with fractional error
 /// below `1.2e-7` everywhere (Numerical Recipes style), which is ample for
 /// p-values.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
     let ans = t
@@ -460,7 +460,7 @@ pub fn student_t_quantile(p: f64, df: f64) -> Result<f64> {
 /// # Errors
 ///
 /// Returns an error unless `0 <= p <= 1`.
-pub fn binomial_cdf(k: i64, n: u64, p: f64) -> Result<f64> {
+pub(crate) fn binomial_cdf(k: i64, n: u64, p: f64) -> Result<f64> {
     if !(0.0..=1.0).contains(&p) {
         return Err(invalid("p", format!("must be in [0, 1], got {p}")));
     }

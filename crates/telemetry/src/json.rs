@@ -22,13 +22,13 @@
 //!
 //! The reader is recursive descent over the strict grammar of RFC 8259:
 //! every string escape including surrogate pairs, integer tokens kept
-//! exact, nesting capped at [`MAX_DEPTH`] so hostile input is an error
+//! exact, nesting capped at `MAX_DEPTH` so hostile input is an error
 //! rather than a stack overflow.
 
 use std::fmt::{self, Write as _};
 
 /// Deepest nesting of arrays and objects [`parse`] accepts.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,7 +91,7 @@ impl Json {
     }
 
     /// The value of a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match *self {
             Json::Bool(b) => Some(b),
             _ => None,

@@ -12,7 +12,8 @@
 //! * **Metrics** ([`metrics`]) — named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and log-bucketed [`metrics::Histogram`]s with
 //!   quantile queries, all lock-free on the hot path.
-//! * **Dogfooded summaries** ([`report`]) — latency reports computed with
+//! * **Dogfooded summaries** ([`span_report`], [`latency_summary`]) —
+//!   latency reports computed with
 //!   `varstats`: median, non-parametric order-statistic 95% CI, and CoV.
 //!   Never mean ± stddev; the observability layer obeys the paper's own
 //!   methodology.
@@ -50,7 +51,7 @@ pub mod chrome;
 pub mod json;
 pub mod manifest;
 pub mod metrics;
-pub mod report;
+mod report;
 pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};

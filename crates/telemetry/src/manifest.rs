@@ -32,7 +32,7 @@ pub struct HostInfo {
 
 impl HostInfo {
     /// Detects the current host using std-only sources.
-    pub fn detect() -> Self {
+    fn detect() -> Self {
         let hostname = std::fs::read_to_string("/proc/sys/kernel/hostname")
             .map(|s| s.trim().to_string())
             .or_else(|_| std::env::var("HOSTNAME"))

@@ -11,7 +11,7 @@
 //! per octave, taken straight from the top four mantissa bits of the
 //! `f64` — so quantile queries have a bounded relative error of about
 //! 2.2 % over the full positive range with a fixed 1 344-slot table.
-//! The first [`EXACT_SAMPLES`] observations are additionally kept
+//! The first `EXACT_SAMPLES` observations are additionally kept
 //! verbatim, so quantiles over small counts (most per-experiment
 //! histograms) are exact sorted-sample quantiles, not bucket midpoints.
 //!
@@ -45,7 +45,7 @@ const BUCKETS: usize = OCTAVES * SUB;
 /// Histograms at or below this count answer quantile queries from the
 /// sorted samples themselves (zero approximation error); above it they
 /// fall back to the log-bucketed grid.
-pub const EXACT_SAMPLES: usize = 256;
+const EXACT_SAMPLES: usize = 256;
 
 struct HistogramCore {
     counts: Vec<AtomicU64>,
@@ -301,7 +301,7 @@ impl Histogram {
             .map_or(0, |c| c.count.load(Ordering::Relaxed))
     }
 
-    /// Quantile (`0.0 ..= 1.0`): exact while at most [`EXACT_SAMPLES`]
+    /// Quantile (`0.0 ..= 1.0`): exact while at most `EXACT_SAMPLES`
     /// values have been recorded, nearest-rank with ≈2.2 % relative
     /// bucket error above that; `None` when empty or for an inert handle.
     pub fn quantile(&self, q: f64) -> Option<f64> {

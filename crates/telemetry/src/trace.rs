@@ -203,7 +203,7 @@ impl Trace {
     }
 
     /// Depth-first walk over every node in the trace.
-    pub fn walk(&self, mut visit: impl FnMut(&SpanNode)) {
+    pub(crate) fn walk(&self, mut visit: impl FnMut(&SpanNode)) {
         fn go(nodes: &[SpanNode], visit: &mut impl FnMut(&SpanNode)) {
             for n in nodes {
                 visit(n);

@@ -19,7 +19,7 @@ use crate::machine::MachineId;
 /// the 64-bit golden ratio and the running state before being XORed in.
 /// Identical inputs always produce identical outputs; changing any single
 /// component produces an unrelated stream.
-pub fn stream_seed(seed: u64, components: &[u64]) -> u64 {
+pub(crate) fn stream_seed(seed: u64, components: &[u64]) -> u64 {
     let mut h = seed;
     for &k in components {
         h ^= k
@@ -33,7 +33,7 @@ pub fn stream_seed(seed: u64, components: &[u64]) -> u64 {
 /// The RNG stream seed owned by one machine of a campaign: every
 /// measurement taken on `machine` derives from this stream, regardless of
 /// which worker thread performs it.
-pub fn machine_stream(campaign_seed: u64, machine: MachineId) -> u64 {
+pub(crate) fn machine_stream(campaign_seed: u64, machine: MachineId) -> u64 {
     stream_seed(campaign_seed, &[machine.0 as u64])
 }
 

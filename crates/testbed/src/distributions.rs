@@ -85,7 +85,7 @@ impl Dist {
 
     /// A multiplicative-noise helper: a normal centered on 1.0 with
     /// relative standard deviation `rel_std`.
-    pub fn rel_normal(rel_std: f64) -> Dist {
+    pub(crate) fn rel_normal(rel_std: f64) -> Dist {
         Dist::Normal {
             mean: 1.0,
             std: rel_std,
@@ -94,7 +94,7 @@ impl Dist {
 
     /// A multiplicative lognormal centered (in median) on 1.0 with shape
     /// `sigma`.
-    pub fn rel_lognormal(sigma: f64) -> Dist {
+    pub(crate) fn rel_lognormal(sigma: f64) -> Dist {
         Dist::LogNormal { mu: 0.0, sigma }
     }
 }

@@ -171,7 +171,7 @@ pub struct FaultPolicy {
     /// equals [`MAX_FAULTS_PER_SITE`], so injected faults always recover.
     pub max_retries: u32,
     /// Base backoff before the first retry; doubles per attempt (see
-    /// [`FaultPolicy::backoff_for`]).
+    /// `FaultPolicy::backoff_for`).
     pub backoff: Duration,
 }
 
@@ -195,13 +195,13 @@ impl FaultPolicy {
 
     /// Exponential backoff before retry `attempt` (0-based), capped at
     /// 64x the base so a misconfigured budget cannot sleep forever.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
+    fn backoff_for(&self, attempt: u32) -> Duration {
         self.backoff * 2u32.pow(attempt.min(6))
     }
 
     /// Runs `op(attempt)` from attempt `start` on. While it fails with an
     /// error `retryable` accepts and `attempt < max_retries`, counts a
-    /// retry in `tally`, sleeps [`Self::backoff_for`]`(attempt)` and runs
+    /// retry in `tally`, sleeps `Self::backoff_for(attempt)` and runs
     /// the next attempt. Returns the first success, or the error that
     /// ended the loop.
     pub fn retry<T, E>(

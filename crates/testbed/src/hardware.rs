@@ -57,7 +57,7 @@ impl Subsystem {
     ];
 
     /// Index into per-machine factor arrays.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             Subsystem::MemoryBandwidth => 0,
             Subsystem::MemoryLatency => 1,
@@ -351,11 +351,6 @@ pub fn catalog() -> Vec<MachineType> {
     ]
 }
 
-/// Looks up a machine type by name in a catalog slice.
-pub fn find_type<'a>(catalog: &'a [MachineType], name: &str) -> Option<&'a MachineType> {
-    catalog.iter().find(|t| t.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,14 +394,6 @@ mod tests {
                 assert!(t.disk_rand_mbps < t.disk_seq_mbps / 10.0, "{}", t.name);
             }
         }
-    }
-
-    #[test]
-    fn find_type_works() {
-        let cat = catalog();
-        assert!(find_type(&cat, "c220g1").is_some());
-        assert_eq!(find_type(&cat, "c220g1").unwrap().site, "wisconsin");
-        assert!(find_type(&cat, "does-not-exist").is_none());
     }
 
     #[test]

@@ -38,7 +38,7 @@ impl InterferenceModel {
     }
 
     /// Whether this model touches `subsystem`.
-    pub fn affects(&self, subsystem: Subsystem) -> bool {
+    fn affects(&self, subsystem: Subsystem) -> bool {
         self.subsystems.is_empty() || self.subsystems.contains(&subsystem)
     }
 
@@ -46,7 +46,7 @@ impl InterferenceModel {
     ///
     /// `stream_seed` must be unique per run (the cluster passes its
     /// derived per-run seed) so contention is reproducible.
-    pub fn apply(&self, value: f64, subsystem: Subsystem, stream_seed: u64) -> f64 {
+    pub(crate) fn apply(&self, value: f64, subsystem: Subsystem, stream_seed: u64) -> f64 {
         if !self.affects(subsystem) || self.contention_prob <= 0.0 {
             return value;
         }

@@ -31,7 +31,7 @@ mod allocation;
 mod cluster;
 mod derive;
 mod distributions;
-pub mod faults;
+mod faults;
 mod hardware;
 mod interference;
 mod machine;
@@ -41,7 +41,7 @@ mod variation;
 pub use allocation::{allocate, AllocationPolicy};
 pub use cluster::{Cluster, Probe};
 pub use faults::{FaultPlan, FaultPolicy, FaultTally, MAX_FAULTS_PER_SITE};
-pub use hardware::{catalog, find_type, DiskKind, MachineType, Subsystem};
+pub use hardware::{catalog, DiskKind, MachineType, Subsystem};
 pub use interference::InterferenceModel;
 pub use machine::{Machine, MachineId};
 pub use temporal::{MaintenanceEvent, Timeline};

@@ -56,7 +56,7 @@ impl Machine {
     }
 
     /// The machine's lottery factor for one subsystem.
-    pub fn unit_factor(&self, subsystem: Subsystem) -> f64 {
+    pub(crate) fn unit_factor(&self, subsystem: Subsystem) -> f64 {
         self.unit_factors[subsystem.index()]
     }
 }

@@ -24,7 +24,7 @@ use crate::hardware::{DiskKind, Subsystem};
 
 /// The variability model of one subsystem on one machine type.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SubsystemVariation {
+pub(crate) struct SubsystemVariation {
     /// Per-unit multiplicative factor, sampled once when a machine is
     /// provisioned (the "hardware lottery").
     pub unit_lottery: Dist,
@@ -44,7 +44,7 @@ pub struct SubsystemVariation {
 impl SubsystemVariation {
     /// Samples the per-run factor (noise plus possible outlier) at a
     /// given `day`.
-    pub fn run_factor(&self, day: f64, rng: &mut Rng) -> f64 {
+    pub(crate) fn run_factor(&self, day: f64, rng: &mut Rng) -> f64 {
         let mut f = self.run_noise.sample(rng).max(1e-6);
         if self.outlier_prob > 0.0 && rng.f64() < self.outlier_prob {
             f *= self.outlier_factor.sample(rng).max(1e-6);
@@ -60,7 +60,7 @@ impl SubsystemVariation {
 /// CoV(disk, HDD) in the several-percent range and far above
 /// CoV(network throughput); memory lotteries spreading same-type machines
 /// by up to ~10%; latency tails heavy.
-pub fn default_variation(subsystem: Subsystem, disk: DiskKind) -> SubsystemVariation {
+pub(crate) fn default_variation(subsystem: Subsystem, disk: DiskKind) -> SubsystemVariation {
     match subsystem {
         Subsystem::MemoryBandwidth => SubsystemVariation {
             // Most machines cluster at nominal; ~20% drew a worse DIMM

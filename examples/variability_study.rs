@@ -7,10 +7,8 @@
 //!
 //! Run with: `cargo run --release --example variability_study`
 
-use taming_variability::analysis::experiments::confirm_study::t4_repetition_summary;
-use taming_variability::analysis::experiments::cov::{f4_cov_disk, overall_cov};
-use taming_variability::analysis::experiments::normality::f6_normality;
-use taming_variability::analysis::{Context, Scale};
+use taming_variability::analysis::experiments::cov::overall_cov;
+use taming_variability::analysis::{find, Context, Scale};
 use taming_variability::workloads::BenchmarkId;
 
 fn main() {
@@ -43,13 +41,14 @@ fn main() {
 
     // The full disk table (F4), the normality census (F6), and the
     // repetition summary (T4).
-    for artifact in f4_cov_disk(&ctx)
-        .expect("F4 runs on the quick campaign")
-        .into_iter()
-        .chain(f6_normality(&ctx).expect("F6 runs on the quick campaign"))
-        .chain(t4_repetition_summary(&ctx).expect("T4 runs on the quick campaign"))
-    {
-        println!("{}", artifact.render());
+    for id in ["F4", "F6", "T4"] {
+        let experiment = find(id).expect("registered experiment");
+        for artifact in experiment
+            .run(&ctx)
+            .unwrap_or_else(|e| panic!("{id} runs on the quick campaign: {e}"))
+        {
+            println!("{}", artifact.render());
+        }
     }
 
     println!(
